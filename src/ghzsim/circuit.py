@@ -25,7 +25,7 @@ import numpy as np
 from ._ops import (HADAMARD, KET_MINUS, KET_PLUS, PAULI_X, PAULI_Z,
                    apply_single_qubit, kron_all, norm2, project_qubit)
 from .scattering import (CavityQDParams, PulseSpectrum, ReflectionPair,
-                         reflection_coeffs)
+                         _hermite_nodes, reflection_coeffs)
 from .states import GhzLabel, QubitRegister, bell_name
 
 PRUNE_TOL = 1e-15
@@ -403,7 +403,7 @@ def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
         return _aggregate(_run_monte_carlo(photons, config, shots, order))
 
     if config.spectrum is not None and config.mode == "realistic":
-        x, w = np.polynomial.hermite.hermgauss(config.quad_nodes)
+        x, w = _hermite_nodes(config.quad_nodes)
         raw: list[OutcomeRecord] = []
         for xi, wi in zip(x, w):
             omega = config.spectrum.omega_c + config.spectrum.sigma * xi

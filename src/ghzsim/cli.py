@@ -9,7 +9,7 @@ Subcommands
 
 Outputs are deterministic for a fixed configuration and seed: CSV carries the
 resolved configuration as '#' comment lines above a single header row, JSON
-embeds it as a "metadata" object. GHZSIM_THREADS caps sweep parallelism.
+embeds it as a "metadata" object.
 Exit codes: 0 success, 2 bad arguments, 3 numerical non-convergence.
 """
 from __future__ import annotations
@@ -19,7 +19,6 @@ import configparser
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -247,16 +246,6 @@ def parse_state_spec(text: str):
     raise UsageError(f"cannot parse state spec {text!r}; {STATE_GRAMMAR}")
 
 
-def _max_workers() -> int:
-    env = os.environ.get("GHZSIM_THREADS", "")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise UsageError(f"GHZSIM_THREADS must be an integer, got {env!r}") from exc
-    return min(8, os.cpu_count() or 1)
-
-
 def cmd_reflection(args: argparse.Namespace) -> RunReport:
     settings = _settings(args)
     params = _scattering_params(settings)
@@ -291,21 +280,15 @@ def cmd_efficiency_map(args: argparse.Namespace) -> RunReport:
                          "k_over_ks")
     meta = _base_metadata("efficiency-map", settings)
     meta.update(n=n, kappa_s=kappa_s, gamma=gamma, sigma=sigma, eta0=eta0,
-                quad_nodes=nodes, g_over_ks=str(g_axis), k_over_ks=str(k_axis),
-                threads=_max_workers())
-    grid = [(gi, ki) for gi in g_axis.values() for ki in k_axis.values()]
-
-    def point(gk):
-        g_over, k_over = gk
-        params = CavityQDParams.resonant(g=g_over * kappa_s, kappa=k_over * kappa_s,
-                                         kappa_s=kappa_s, gamma=gamma)
-        spec = PulseSpectrum(omega_c=params.omega_c, sigma=sigma)
-        return average_efficiency(params, spec, n, eta0=eta0, nodes=nodes)
-
-    with ThreadPoolExecutor(max_workers=_max_workers()) as pool:
-        values = list(pool.map(point, grid))
-    rows = [{"g_over_ks": float(g), "k_over_ks": float(k), "eta_n_s": v}
-            for (g, k), v in zip(grid, values)]
+                quad_nodes=nodes, g_over_ks=str(g_axis), k_over_ks=str(k_axis))
+    g_over, k_over = (a.ravel() for a in np.meshgrid(g_axis.values(), k_axis.values(),
+                                                     indexing="ij"))
+    params = CavityQDParams.resonant(g=g_over * kappa_s, kappa=k_over * kappa_s,
+                                     kappa_s=kappa_s, gamma=gamma)
+    spec = PulseSpectrum(omega_c=params.omega_c, sigma=sigma)
+    values = average_efficiency(params, spec, n, eta0=eta0, nodes=nodes)
+    rows = [{"g_over_ks": float(g), "k_over_ks": float(k), "eta_n_s": float(v)}
+            for g, k, v in zip(g_over, k_over, values)]
     return RunReport(meta, ["g_over_ks", "k_over_ks", "eta_n_s"], rows)
 
 

@@ -11,8 +11,9 @@ sigma = 0.6 ueV takes t0 = hbar/sigma ~ 1.10 ns per scattering event.
 """
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -20,14 +21,23 @@ HBAR_UEV_NS = 0.6582119569  # ueV * ns
 
 DEFAULT_QUAD_NODES = 64
 
+# largest Gauss-Hermite rule; hermgauss returns non-finite weights above ~371
+# nodes, and average_efficiency doubles its node count, so it takes <= 128
+MAX_QUAD_NODES = 256
+
+# grid points x quadrature nodes evaluated per numpy pass in average_efficiency
+_GRID_BLOCK = 4096
+
 
 class QuadratureConvergenceError(RuntimeError):
     """Raised when doubling the Gauss-Hermite node count moves the result too much."""
 
 
 def _require_finite(name: str, value) -> None:
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+    finite = np.isfinite(value)
+    if not np.all(finite):
+        shown = value if np.ndim(value) == 0 else np.asarray(value)[~finite][0].item()
+        raise ValueError(f"{name} must be finite, got {shown!r}")
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,9 @@ class CavityQDParams:
     gamma   : trion decay rate (ueV)
     omega_c : cavity resonance (ueV)
     omega_x : trion transition frequency (ueV)
+
+    g and kappa may also be arrays of equal shape, one entry per grid point;
+    average_efficiency then evaluates every point.
     """
 
     g: float
@@ -52,9 +65,9 @@ class CavityQDParams:
     def __post_init__(self):
         for name in ("g", "kappa", "kappa_s", "gamma", "omega_c", "omega_x"):
             _require_finite(name, getattr(self, name))
-        if self.g < 0 or self.kappa_s < 0 or self.gamma < 0:
+        if np.min(self.g) < 0 or self.kappa_s < 0 or self.gamma < 0:
             raise ValueError("rates g, kappa_s, gamma must be >= 0")
-        if self.kappa <= 0:
+        if np.min(self.kappa) <= 0:
             raise ValueError("kappa must be > 0")
 
     @classmethod
@@ -155,36 +168,68 @@ def spectral_density(spec: PulseSpectrum, omega) -> float:
     return float(val) if np.ndim(val) == 0 else val
 
 
-def _hermite_average(params: CavityQDParams, spec: PulseSpectrum, n: int,
-                     eta0: float, nodes: int) -> float:
-    # substitution x = (omega - omega_c)/sigma turns the spectral average into
-    # (1/sqrt(pi)) * integral exp(-x^2) * integrand dx, exact for Gauss-Hermite
+@functools.lru_cache(maxsize=None)
+def _hermite_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Hermite nodes and weights, built once per node count, read-only."""
+    if not 1 <= nodes <= MAX_QUAD_NODES:
+        raise ValueError(f"a Gauss-Hermite rule takes 1..{MAX_QUAD_NODES} nodes, got {nodes}")
     x, w = np.polynomial.hermite.hermgauss(nodes)
+    assert np.all(np.isfinite(w)), f"non-finite Gauss-Hermite weights at {nodes} nodes"
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
+def _hermite_average(params: CavityQDParams, spec: PulseSpectrum, n: int,
+                     eta0: float, nodes: int) -> np.ndarray:
+    # substitution x = (omega - omega_c)/sigma turns the spectral average into
+    # (1/sqrt(pi)) * integral exp(-x^2) * integrand dx, exact for Gauss-Hermite;
+    # params.g and params.kappa are (points, 1) columns, the nodes the last axis
+    x, w = _hermite_nodes(nodes)
     omega = spec.omega_c + spec.sigma * x
     pair = reflection_coeffs(params, omega)
     integrand = (np.abs((pair.r1 - pair.r0) / 2.0) ** 2) ** n
-    return float(eta0 ** n * np.sum(w * integrand) / math.sqrt(math.pi))
+    return eta0 ** n * np.sum(w * integrand, axis=-1) / math.sqrt(math.pi)
 
 
 def average_efficiency(params: CavityQDParams, spec: PulseSpectrum, n: int,
                        eta0: float = 1.0, nodes: int = DEFAULT_QUAD_NODES,
-                       tol: float = 1e-8) -> float:
+                       tol: float = 1e-8):
     """Pulse-averaged n-photon conclusive probability.
 
     integral over omega of f(omega) * eta0^n * |(r1 - r0)/2|^(2n), evaluated by
-    Gauss-Hermite quadrature with a node-doubling convergence check.
+    Gauss-Hermite quadrature with a node-doubling convergence check at every
+    point. A float for scalar params; if params.g and params.kappa are arrays,
+    an array of their shape, computed in fixed-size blocks of points x nodes.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
     if not 0.0 <= eta0 <= 1.0:
         raise ValueError("eta0 must lie in [0, 1]")
-    coarse = _hermite_average(params, spec, n, eta0, nodes)
-    fine = _hermite_average(params, spec, n, eta0, 2 * nodes)
-    if abs(fine - coarse) > tol:
+    if not 1 <= nodes <= MAX_QUAD_NODES // 2:
+        raise ValueError(f"nodes must lie in 1..{MAX_QUAD_NODES // 2} "
+                         f"(the convergence check doubles it), got {nodes}")
+    shape = np.broadcast_shapes(np.shape(params.g), np.shape(params.kappa))
+    g = np.broadcast_to(params.g, shape).ravel()
+    kappa = np.broadcast_to(params.kappa, shape).ravel()
+    coarse, fine = np.empty(g.size), np.empty(g.size)
+    step = max(1, _GRID_BLOCK // (2 * nodes))
+    for start in range(0, g.size, step):
+        block = slice(start, start + step)
+        points = replace(params, g=g[block, None], kappa=kappa[block, None])
+        coarse[block] = _hermite_average(points, spec, n, eta0, nodes)
+        fine[block] = _hermite_average(points, spec, n, eta0, 2 * nodes)
+    delta = np.abs(fine - coarse)
+    worst = int(np.argmax(delta))  # the first NaN, if any
+    if not delta[worst] <= tol:
+        point = f"g = {g[worst]:.6g} ueV, kappa = {kappa[worst]:.6g} ueV"
+        if params.kappa_s > 0:
+            point += (f" (g/kappa_s = {g[worst] / params.kappa_s:.6g}, "
+                      f"kappa/kappa_s = {kappa[worst] / params.kappa_s:.6g})")
         raise QuadratureConvergenceError(
             f"Gauss-Hermite average did not converge: {nodes}->{2*nodes} nodes "
-            f"moved the result by {abs(fine - coarse):.3e} (tol {tol:.1e})")
-    return fine
+            f"moved the result by {delta[worst]:.3e} (tol {tol:.1e}) at {point}")
+    return float(fine[0]) if not shape else fine.reshape(shape)
 
 
 def scattering_time(spec: PulseSpectrum) -> float:

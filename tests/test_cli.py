@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
 from ghzsim.cli import main, parse_state_spec
-from ghzsim.scattering import CavityQDParams, eta1
+from ghzsim.scattering import CavityQDParams, PulseSpectrum, average_efficiency, eta1
 from ghzsim.states import GhzLabel
 
 
@@ -87,17 +88,62 @@ class TestEfficiencyMapCommand:
             values.append(float(csv_rows(text)[0]["eta_n_s"]))
         assert values[0] > values[1] > values[2]
 
-    def test_threads_env(self, tmp_path, monkeypatch):
+    def test_output_ignores_threads_env(self, tmp_path, monkeypatch):
+        argv = ["efficiency-map", "--n", "2", "--g-over-ks", "1:2:2", "--k-over-ks", "3:4:2"]
+        code, plain = run_cli(argv, tmp_path, "plain.csv")
         monkeypatch.setenv("GHZSIM_THREADS", "2")
-        code, text = run_cli(["efficiency-map", "--n", "2",
-                              "--g-over-ks", "1:2:2", "--k-over-ks", "3:4:2"],
-                             tmp_path)
+        _, with_env = run_cli(argv, tmp_path, "env.csv")
         assert code == 0
-        assert csv_meta(text)["threads"] == "2"
+        assert "threads" not in csv_meta(plain)
+        assert with_env == plain
+
+    @pytest.mark.parametrize("n", [2, 8])
+    @pytest.mark.parametrize("g_axis,k_axis", [("0.25:4:5", "1:30:7"),
+                                               ("0.3:3.7:4:log", "1.5:27:9:log")])
+    def test_rows_match_single_point_function(self, n, g_axis, k_axis, tmp_path):
+        code, text = run_cli(["efficiency-map", "--n", str(n), "--kappa-s", "30",
+                              "--gamma", "0.3", "--sigma", "0.3",
+                              "--g-over-ks", g_axis, "--k-over-ks", k_axis], tmp_path)
+        assert code == 0
+        rows = csv_rows(text)
+        assert len(rows) == int(g_axis.split(":")[2]) * int(k_axis.split(":")[2])
+        spec = PulseSpectrum(omega_c=0.0, sigma=0.3)
+        for row in rows:
+            params = CavityQDParams.resonant(g=float(row["g_over_ks"]) * 30.0,
+                                             kappa=float(row["k_over_ks"]) * 30.0,
+                                             kappa_s=30.0, gamma=0.3)
+            assert float(row["eta_n_s"]) == pytest.approx(
+                average_efficiency(params, spec, n), rel=1e-12)
+
+    def test_quadrature_failure_exits_3_naming_worst_point(self, tmp_path, capsys):
+        code, _ = run_cli(["efficiency-map", "--quad-nodes", "2", "--sigma", "60",
+                           "--g-over-ks", "1:4:4", "--k-over-ks", "3:23:3"], tmp_path)
+        assert code == 3
+        # per-point deltas |4-node - 2-node| from the single-point function
+        spec = PulseSpectrum(omega_c=0.0, sigma=60.0)
+        deltas = {}
+        for g_over in (1.0, 2.0, 3.0, 4.0):
+            for k_over in (3.0, 13.0, 23.0):
+                params = CavityQDParams.resonant(g=g_over * 30.0, kappa=k_over * 30.0,
+                                                 kappa_s=30.0, gamma=0.3)
+                fine = average_efficiency(params, spec, 2, nodes=2, tol=math.inf)
+                coarse = average_efficiency(params, spec, 2, nodes=1, tol=math.inf)
+                deltas[g_over, k_over] = abs(fine - coarse)
+        (g_over, k_over), delta = max(deltas.items(), key=lambda item: item[1])
+        err = capsys.readouterr().err
+        assert f"moved the result by {delta:.3e}" in err
+        assert f"g/kappa_s = {g_over:.6g}, kappa/kappa_s = {k_over:.6g}" in err
 
     def test_bad_range_exits_2(self, tmp_path):
         code, _ = run_cli(["efficiency-map", "--g-over-ks", "5:1:4"], tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize("nodes", ["0", "129", "256"])
+    def test_node_count_outside_cap_exits_2(self, nodes, tmp_path):
+        code, text = run_cli(["efficiency-map", "--config", "paper_fig4",
+                              "--quad-nodes", nodes], tmp_path)
+        assert code == 2
+        assert text == ""
 
 
 class TestTable1Command:
@@ -131,6 +177,15 @@ class TestTable1Command:
         code, _ = run_cli(["table1", "--quad-nodes", "2", "--sigma", "60",
                            "--n-list", "2"], tmp_path)
         assert code == 3
+
+    @pytest.mark.parametrize("nodes", ["0", "129", "256"])
+    def test_node_count_outside_cap_exits_2(self, nodes, tmp_path, capsys):
+        # 256 nodes per rule is the cap; the convergence check doubles the count
+        code, text = run_cli(["table1", "--config", "paper_fig5", "--n-list", "2",
+                              "--quad-nodes", nodes], tmp_path)
+        assert code == 2
+        assert text == ""
+        assert "1..128" in capsys.readouterr().err
 
     def test_invalid_photon_count_exits_2(self, tmp_path):
         code, _ = run_cli(["table1", "--n-list", "0"], tmp_path)
@@ -170,6 +225,14 @@ class TestAnalyzeCommand:
         code, _ = run_cli(["analyze", "GHZ:01", "--mode", "realistic",
                            "--omega", "0", "--sigma", "0.3"], tmp_path, "a.json")
         assert code == 2
+
+    @pytest.mark.parametrize("nodes", ["257", "512"])
+    def test_pulse_node_count_over_cap_exits_2(self, nodes, tmp_path, capsys):
+        code, text = run_cli(["analyze", "GHZ:01", "--mode", "realistic", "--sigma", "0.6",
+                              "--quad-nodes", nodes], tmp_path, "a.json")
+        assert code == 2
+        assert text == ""
+        assert "1..256" in capsys.readouterr().err
 
     def test_monte_carlo_runs(self, tmp_path):
         code, text = run_cli(["analyze", "BELL:psi-", "--enumeration", "monte-carlo",

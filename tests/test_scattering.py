@@ -3,9 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from ghzsim.scattering import (CavityQDParams, PulseSpectrum,
+from ghzsim import scattering
+from ghzsim.scattering import (MAX_QUAD_NODES, CavityQDParams, PulseSpectrum,
                                QuadratureConvergenceError, ReflectionPair,
-                               average_efficiency, cooperativity, error_prob,
+                               _hermite_nodes, average_efficiency, cooperativity, error_prob,
                                eta1, fidelity_fn, loss_prob, reflection_coeffs,
                                scattering_time, spectral_density)
 from oracles import legendre_average_efficiency, phase_damped_readout_product
@@ -212,6 +213,58 @@ class TestAverageEfficiency:
             average_efficiency(TABLE_PARAMS, spec, 0)
         with pytest.raises(ValueError):
             average_efficiency(TABLE_PARAMS, spec, 2, eta0=1.5)
+        for nodes in (0, MAX_QUAD_NODES // 2 + 1):
+            with pytest.raises(ValueError):
+                average_efficiency(TABLE_PARAMS, spec, 2, nodes=nodes)
+
+    def test_nan_delta_fails_convergence(self, monkeypatch):
+        x, w = np.polynomial.hermite.hermgauss(8)
+        monkeypatch.setattr(scattering, "_hermite_nodes",
+                            lambda nodes: (x, np.full_like(w, np.nan)))
+        spec = PulseSpectrum(omega_c=0.0, sigma=0.6)
+        with pytest.raises(QuadratureConvergenceError, match="by nan"):
+            average_efficiency(TABLE_PARAMS, spec, 2)
+
+    def test_array_params_match_point_by_point(self):
+        # 5 x 9 points cross the block boundary at 4096 // (2 * 64) = 32 points
+        g = np.linspace(0.0, 120.0, 5)[:, None] * np.ones(9)
+        kappa = np.ones(5)[:, None] * np.geomspace(30.0, 900.0, 9)
+        grid = CavityQDParams.resonant(g=g, kappa=kappa, kappa_s=30.0, gamma=0.3)
+        spec = PulseSpectrum(omega_c=0.2, sigma=0.3)
+        values = average_efficiency(grid, spec, 3, eta0=0.9)
+        assert values.shape == (5, 9)
+        for i, j in np.ndindex(5, 9):
+            point = CavityQDParams.resonant(g=g[i, j], kappa=kappa[i, j],
+                                            kappa_s=30.0, gamma=0.3)
+            assert values[i, j] == average_efficiency(point, spec, 3, eta0=0.9)
+
+    def test_array_params_validated_per_point(self):
+        with pytest.raises(ValueError, match="g must be finite, got inf"):
+            CavityQDParams.resonant(g=np.array([1.0, np.inf]), kappa=np.array([1.0, 2.0]),
+                                    kappa_s=1.0, gamma=1.0)
+        with pytest.raises(ValueError, match="kappa must be > 0"):
+            CavityQDParams.resonant(g=np.array([1.0, 2.0]), kappa=np.array([1.0, 0.0]),
+                                    kappa_s=1.0, gamma=1.0)
+
+
+class TestHermiteNodes:
+    def test_cached_and_read_only(self):
+        x, w = _hermite_nodes(16)
+        assert _hermite_nodes(16)[0] is x and _hermite_nodes(16)[1] is w
+        with pytest.raises(ValueError):
+            x[0] = 0.0
+        with pytest.raises(ValueError):
+            w[0] = 0.0
+
+    def test_refuses_counts_outside_cap(self):
+        for nodes in (-1, 0, MAX_QUAD_NODES + 1, 2 * MAX_QUAD_NODES):
+            with pytest.raises(ValueError):
+                _hermite_nodes(nodes)
+
+    def test_largest_rule_is_finite(self):
+        x, w = _hermite_nodes(MAX_QUAD_NODES)
+        assert np.all(np.isfinite(x)) and np.all(np.isfinite(w))
+        assert w.sum() == pytest.approx(math.sqrt(math.pi), rel=1e-12)
 
 
 class TestFidelity:
