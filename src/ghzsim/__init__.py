@@ -4,8 +4,7 @@ __version__ = "0.1.0"
 
 from .circuit import (AnalyzerConfig, HybridState, OutcomeRecord, PhotonFate,
                       analyze_bell, classification_distribution, classify,
-                      conclusive_probability, final_branches, qnd_scatter,
-                      run_analyzer)
+                      conclusive_probability, final_branches, run_analyzer)
 from .network import (NetworkState, SwapOutcome, bell_swap, feed_photon,
                       ghz_swap, make_network)
 from .scattering import (CavityQDParams, PulseSpectrum, QuadratureConvergenceError,
@@ -23,6 +22,6 @@ __all__ = [
     "average_efficiency", "bell_state", "bell_swap", "classification_distribution",
     "classify", "conclusive_probability", "cooperativity", "error_prob", "eta1",
     "feed_photon", "fidelity_fn", "final_branches", "ghz_state", "ghz_swap", "loss_prob",
-    "make_network", "qnd_scatter", "reflection_coeffs", "run_analyzer",
+    "make_network", "reflection_coeffs", "run_analyzer",
     "scattering_time", "spectral_density", "stabilizer_syndrome",
 ]

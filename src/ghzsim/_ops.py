@@ -34,12 +34,6 @@ def project_qubit(state: np.ndarray, n: int, qubit: int, bit: int) -> np.ndarray
     return t.reshape(-1)
 
 
-def project_onto(state: np.ndarray, n: int, qubit: int, ket: np.ndarray) -> np.ndarray:
-    """Project one qubit onto |ket><ket| without renormalizing."""
-    proj = np.outer(ket, ket.conj())
-    return apply_single_qubit(state, n, qubit, proj)
-
-
 def norm2(state: np.ndarray) -> float:
     return float(np.real(np.vdot(state, state)))
 

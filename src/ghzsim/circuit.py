@@ -14,6 +14,8 @@ equivalent to sending all photons through together. Branch amplitudes are
 kept unnormalized so that squared norms are physical probabilities.
 
 State layout: axes 0..n-1 are the photons, axis n is QD1, axis n+1 is QD2.
+The swapping network runs the same photon step (`_feed`) with its remote
+spins as extra leading axes; the analyzer is that layout with no spins.
 """
 from __future__ import annotations
 
@@ -24,13 +26,11 @@ import numpy as np
 
 from ._ops import (HADAMARD, KET_MINUS, KET_PLUS, PAULI_X, PAULI_Z,
                    apply_single_qubit, kron_all, norm2, project_qubit)
-from .scattering import (CavityQDParams, PulseSpectrum, ReflectionPair,
-                         _hermite_nodes, reflection_coeffs)
+from .scattering import (MAX_QUAD_NODES, CavityQDParams, PulseSpectrum,
+                         ReflectionPair, _hermite_nodes, reflection_coeffs)
 from .states import GhzLabel, QubitRegister, bell_name
 
 PRUNE_TOL = 1e-15
-
-QND1, QND2 = 1, 2
 
 INCONCLUSIVE = "inconclusive"
 
@@ -57,7 +57,7 @@ class AnalyzerConfig:
     eta0        : efficiency of the destructive detectors, applied per click
     enumeration : "exhaustive" branch enumeration or "monte-carlo" sampling
     seed        : RNG seed for monte-carlo runs
-    quad_nodes  : Gauss-Hermite node count for pulse-averaged exhaustive runs
+    quad_nodes  : Gauss-Hermite node count (2..256) for pulse-averaged exhaustive runs
     """
 
     mode: str = "ideal"
@@ -83,8 +83,9 @@ class AnalyzerConfig:
             raise ValueError("give either a fixed omega or a spectrum, not both")
         if not 0.0 <= self.eta0 <= 1.0:
             raise ValueError("eta0 must lie in [0, 1]")
-        if self.quad_nodes < 2:
-            raise ValueError("quad_nodes must be >= 2")
+        if not 2 <= self.quad_nodes <= MAX_QUAD_NODES:
+            raise ValueError(f"quad_nodes must lie in 2..{MAX_QUAD_NODES}, "
+                             f"got {self.quad_nodes}")
 
     def reflection_pairs(self, omega: float | None = None) -> tuple[ReflectionPair, ReflectionPair]:
         """Reflection amplitudes of the two detectors at the given frequency."""
@@ -98,29 +99,20 @@ class AnalyzerConfig:
 
 @dataclass(eq=False)
 class HybridState:
-    """One unnormalized branch of the joint photon/QD state.
+    """One live, unnormalized branch of the joint photon/QD state.
 
-    `amps` covers all photon slots plus the two QDs; slots of already
-    detected photons stay collapsed onto the recorded polarization so that
-    summing branch vectors reconstructs the unmeasured state. A branch
-    terminated by scattering loss has amps None and carries only its weight.
+    `amps` covers every qubit of the layout (spectator spins, photons, the two
+    QDs); slots of already detected photons stay collapsed onto the recorded
+    polarization so that summing branch vectors reconstructs the unmeasured
+    state. `fates` has one entry per photon.
     """
 
     fates: tuple[PhotonFate, ...]
-    amps: np.ndarray | None
-    weight: float = field(default=0.0)
+    amps: np.ndarray
+    weight: float = field(init=False)
 
     def __post_init__(self):
-        if self.amps is not None:
-            self.weight = norm2(self.amps)
-
-    @property
-    def num_photons(self) -> int:
-        return len(self.fates)
-
-    @property
-    def num_qubits(self) -> int:
-        return self.num_photons + 2
+        self.weight = norm2(self.amps)
 
     @classmethod
     def initial(cls, photons: QubitRegister) -> "HybridState":
@@ -172,35 +164,6 @@ def _scatter_arm(amps: np.ndarray, nq: int, photon_axis: int, qd_axis: int,
     flipped = apply_single_qubit(amps, nq, photon_axis, PAULI_X)
     flipped = f * apply_single_qubit(flipped, nq, qd_axis, PAULI_Z)
     return flipped, e * amps, lost_frac * norm2(amps)
-
-
-def qnd_scatter(state: HybridState, photon: int, detector: int,
-                refl: ReflectionPair) -> list[HybridState]:
-    """Scatter the photon component routed to one QND arm.
-
-    Returns the branches the event splits into: the flip branch (photon
-    polarization and addressed QD flipped, photon still in circuit), the
-    error branch (everything unchanged, photon heralded at D3), and, when
-    the reflection amplitudes leak, a terminal loss branch.
-    """
-    if detector not in (QND1, QND2):
-        raise ValueError(f"detector must be {QND1} or {QND2}")
-    if state.amps is None:
-        raise ValueError("branch already terminated by loss")
-    if state.fates[photon] is not PhotonFate.IN_CIRCUIT:
-        raise ValueError(f"photon {photon} is not in the circuit")
-    nq = state.num_qubits
-    qd_axis = state.num_photons + detector - 1
-    flipped, errored, lost_weight = _scatter_arm(state.amps, nq, photon, qd_axis, refl)
-    branches = [
-        HybridState(fates=state.fates, amps=flipped),
-        HybridState(fates=_with_fate(state.fates, photon, PhotonFate.D3), amps=errored),
-    ]
-    if lost_weight > 0.0:
-        branches.append(HybridState(
-            fates=_lost_fates(_with_fate(state.fates, photon, PhotonFate.LOST)),
-            amps=None, weight=lost_weight))
-    return branches
 
 
 def _photon_step(amps: np.ndarray, nq: int, fates, photon: int, photon_axis: int,
@@ -255,13 +218,16 @@ def _qd_pair_components(amps: np.ndarray, nq: int, qd_axes: tuple[int, int]) -> 
 
 
 def _qd_readouts(amps: np.ndarray, nq: int, qd_axes: tuple[int, int]):
-    """Project the two QDs onto the four +/- pairs; yields (pair, amps, weight)."""
+    """Read the two QDs out in the +/- basis; yields (pair, rest, weight).
+
+    `rest` is <pair|state> on the other nq - 2 qubits, unnormalized.
+    """
     comps = _qd_pair_components(amps, nq, qd_axes)
     for j, pair in enumerate(QD_PAIRS):
-        w = float(np.real(np.vdot(comps[:, j], comps[:, j])))
+        rest = comps[:, j]
+        w = float(np.real(np.vdot(rest, rest)))
         if w > PRUNE_TOL:
-            proj = np.outer(comps[:, j], _QD_PAIR_KETS[j]).reshape(-1)
-            yield pair, proj, w
+            yield pair, rest, w
 
 
 def _fate_sort_key(record: OutcomeRecord):
@@ -277,29 +243,41 @@ def _aggregate(raw: list[OutcomeRecord]) -> list[OutcomeRecord]:
     return sorted(records, key=_fate_sort_key)
 
 
+def _feed(branches: list[HybridState], photon: int, photon_axis: int, nq: int,
+          qd_axes: tuple[int, int], refl1: ReflectionPair, refl2: ReflectionPair,
+          eta0: float, lost: list) -> list[HybridState]:
+    """Send one photon through the analyzer in every branch; returns the live ones.
+
+    Scattering loss and branches pruned at or below PRUNE_TOL are appended to
+    `lost` as (fates, weight) in the order they happen, with every photon not
+    yet detected marked LOST: the run ends there and nothing more is tracked.
+    """
+    out = []
+    for br in branches:
+        stepped, lost_w = _photon_step(br.amps, nq, br.fates, photon, photon_axis,
+                                       qd_axes, refl1, refl2, eta0)
+        if lost_w > 0.0:
+            lost.append((_lost_fates(_with_fate(br.fates, photon, PhotonFate.LOST)), lost_w))
+        for fates, amps in stepped:
+            nb = HybridState(fates, amps)
+            if nb.weight > PRUNE_TOL:
+                out.append(nb)
+            elif nb.weight > 0.0:
+                lost.append((_lost_fates(fates), nb.weight))
+    return out
+
+
 def _evolve_branches(photons: QubitRegister, refl1, refl2, eta0, order):
-    """All photons through the pipeline; returns (live branches, loss records)."""
+    """All photons through the pipeline; returns (live branches, loss records).
+
+    This is the network layout with no spectator spins, so photon k sits on axis k.
+    """
     n = photons.num_qubits
-    nq = n + 2
-    qd_axes = (n, n + 1)
-    records: list[OutcomeRecord] = []
+    lost: list = []
     branches = [HybridState.initial(photons)]
     for k in order:
-        next_branches = []
-        for br in branches:
-            stepped, lost = _photon_step(br.amps, nq, br.fates, k, k, qd_axes,
-                                         refl1, refl2, eta0)
-            if lost > 0.0:
-                records.append(OutcomeRecord(
-                    _lost_fates(_with_fate(br.fates, k, PhotonFate.LOST)), None, lost))
-            for fates, amps in stepped:
-                nb = HybridState(fates, amps)
-                if nb.weight > PRUNE_TOL:
-                    next_branches.append(nb)
-                elif nb.weight > 0.0:
-                    records.append(OutcomeRecord(_lost_fates(fates), None, nb.weight))
-        branches = next_branches
-    return branches, records
+        branches = _feed(branches, k, k, n + 2, (n, n + 1), refl1, refl2, eta0, lost)
+    return branches, [OutcomeRecord(fates, None, w) for fates, w in lost]
 
 
 def final_branches(photons: QubitRegister, config: AnalyzerConfig,

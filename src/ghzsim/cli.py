@@ -112,7 +112,7 @@ class _Settings:
         if raw is None:
             return default
         try:
-            return cast(raw) if cast is not bool else raw.strip().lower() in ("1", "true", "yes")
+            return cast(raw)
         except ValueError as exc:
             raise UsageError(f"bad config value {section}.{key} = {raw!r}") from exc
 
@@ -215,16 +215,9 @@ def _parse_axis(text: str, name: str) -> SweepAxis:
     return SweepAxis(name=name, lo=lo, hi=hi, steps=steps, scale=scale)
 
 
-def _parse_float_list(text: str, name: str) -> list[float]:
+def _parse_list(text: str, name: str, cast) -> list:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise UsageError(f"bad {name} list {text!r}") from exc
-
-
-def _parse_int_list(text: str, name: str) -> list[int]:
-    try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        return [cast(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise UsageError(f"bad {name} list {text!r}") from exc
 
@@ -298,11 +291,11 @@ def cmd_table1(args: argparse.Namespace) -> RunReport:
     sigma = settings.get("pulse", "sigma", 2.0 * params.gamma)
     eta0 = settings.get("analyzer", "eta0", 1.0)
     nodes = int(settings.get("analyzer", "quad_nodes", 64, cast=int))
-    n_list = (_parse_int_list(settings.get("table", "n", "2,3,4,5,6,7,8,20", cast=str), "n")
-              if args.n_list is None else _parse_int_list(args.n_list, "--n-list"))
+    n_list = (_parse_list(settings.get("table", "n", "2,3,4,5,6,7,8,20", cast=str), "n", int)
+              if args.n_list is None else _parse_list(args.n_list, "--n-list", int))
     t2_text = (settings.get("table", "t2", "10.9,2000", cast=str)
                if args.t2 is None else args.t2)
-    t2_list = _parse_float_list(t2_text, "--t2")
+    t2_list = _parse_list(t2_text, "--t2", float)
     if len(t2_list) != 2:
         raise UsageError("table1 needs exactly two T2 values (F_prime, F_doubleprime)")
     spec = PulseSpectrum(omega_c=params.omega_c, sigma=sigma)
@@ -431,9 +424,6 @@ def _add_common(sub: argparse.ArgumentParser, default_format: str) -> None:
     sub.add_argument("--config", help="config file path or bundled profile name")
     sub.add_argument("--out", help="output file (default: stdout)")
     sub.add_argument("--format", choices=("csv", "json", "md"), default=default_format)
-    sub.add_argument("--seed", type=int, default=None, help="RNG seed for sampling runs")
-    sub.add_argument("--shots", type=int, default=100_000,
-                     help="sample count for monte-carlo enumeration")
 
 
 def _add_scattering_flags(sub: argparse.ArgumentParser) -> None:
@@ -496,6 +486,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta0", type=float, default=None)
     p.add_argument("--enumeration", default=None, choices=("exhaustive", "monte-carlo"))
     p.add_argument("--quad-nodes", dest="quad_nodes", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None, help="RNG seed for sampling runs")
+    p.add_argument("--shots", type=int, default=100_000,
+                   help="sample count for monte-carlo enumeration")
     p.set_defaults(func=cmd_analyze)
 
     p = subs.add_parser("swap", help="entanglement swapping over 2 or 3 hybrid pairs")

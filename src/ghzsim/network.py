@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ops import KET_MINUS, KET_PLUS, kron_all, norm2
-from .circuit import (AnalyzerConfig, OutcomeRecord, PhotonFate, _photon_step,
-                      _qd_readouts, _with_fate, classify)
+from ._ops import KET_PLUS, kron_all, norm2
+from .circuit import (CONCLUSIVE_FATES, AnalyzerConfig, HybridState, OutcomeRecord,
+                      PhotonFate, _feed, _qd_readouts, classify)
 from .states import GhzLabel, QubitRegister
 
 SQRT_HALF = 1.0 / np.sqrt(2.0)
@@ -32,59 +32,35 @@ def hybrid_pair_state() -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class HybridPair:
-    """Wiring of one entanglement pair: remote spin axis and photon axis."""
-
-    spin: int
-    photon: int
-
-
-@dataclass(eq=False)
-class NetworkBranch:
-    """One unnormalized branch: per-photon click so far (None = not fed yet)."""
-
-    clicks: tuple
-    amps: np.ndarray | None
-    weight: float = 0.0
-
-    def __post_init__(self):
-        if self.amps is not None:
-            self.weight = norm2(self.amps)
-
-
 @dataclass(eq=False)
 class NetworkState:
-    """All branches of the hub-plus-remote-spins system."""
+    """Live branches of the hub-plus-remote-spins system and the mass lost so far.
+
+    `branches` are `HybridState`s whose fates cover the m photons (IN_CIRCUIT
+    until fed); `lost` holds (fates, weight) of every run that ended in loss
+    or pruning; `fed` marks the photons sent through the analyzer.
+    """
 
     num_pairs: int
-    branches: list
+    branches: list[HybridState]
+    lost: list
+    fed: tuple[bool, ...]
 
     @property
     def num_qubits(self) -> int:
         return 2 * self.num_pairs + 2
 
     @property
-    def pairs(self) -> tuple[HybridPair, ...]:
-        m = self.num_pairs
-        return tuple(HybridPair(spin=i, photon=m + i) for i in range(m))
-
-    @property
     def qd_axes(self) -> tuple[int, int]:
         return (2 * self.num_pairs, 2 * self.num_pairs + 1)
 
-    @property
-    def fed(self) -> tuple[bool, ...]:
-        return tuple(c is not None for c in self.branches[0].clicks)
-
     def assembled(self) -> np.ndarray:
         """Sum of live branch vectors: the state before any projection."""
-        out = None
-        for br in self.branches:
-            if br.amps is not None:
-                out = br.amps.copy() if out is None else out + br.amps
-        if out is None:
+        if not self.branches:
             raise ValueError("no live branches to assemble")
+        out = self.branches[0].amps.copy()
+        for br in self.branches[1:]:
+            out += br.amps
         return out
 
 
@@ -98,12 +74,8 @@ def make_network(num_pairs: int) -> NetworkState:
     perm = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
     spins_first = np.transpose(t, perm).reshape(-1)
     amps = kron_all(spins_first, KET_PLUS, KET_PLUS)
-    return NetworkState(num_pairs=m, branches=[NetworkBranch((None,) * m, amps)])
-
-
-def _require_monochromatic(config: AnalyzerConfig) -> None:
-    if config.spectrum is not None:
-        raise ValueError("network runs are monochromatic; use a fixed omega")
+    branch = HybridState((PhotonFate.IN_CIRCUIT,) * m, amps)
+    return NetworkState(num_pairs=m, branches=[branch], lost=[], fed=(False,) * m)
 
 
 def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> NetworkState:
@@ -112,26 +84,14 @@ def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> Net
         raise ValueError(f"photon index {photon} out of range")
     if state.fed[photon]:
         raise ValueError(f"photon {photon} was already fed")
-    _require_monochromatic(config)
+    if config.spectrum is not None:
+        raise ValueError("network runs are monochromatic; use a fixed omega")
     refl1, refl2 = config.reflection_pairs()
-    nq = state.num_qubits
-    photon_axis = state.num_pairs + photon
-    out: list[NetworkBranch] = []
-    for br in state.branches:
-        if br.amps is None:
-            # branch already dead: the photon still enters the apparatus but
-            # nothing about it is tracked, so it is booked as lost too
-            out.append(NetworkBranch(_with_fate(br.clicks, photon, PhotonFate.LOST),
-                                     None, weight=br.weight))
-            continue
-        stepped, lost = _photon_step(br.amps, nq, br.clicks, photon, photon_axis,
-                                     state.qd_axes, refl1, refl2, config.eta0)
-        for clicks, amps in stepped:
-            out.append(NetworkBranch(clicks, amps))
-        if lost > 0.0:
-            out.append(NetworkBranch(_with_fate(br.clicks, photon, PhotonFate.LOST),
-                                     None, weight=lost))
-    return NetworkState(num_pairs=state.num_pairs, branches=out)
+    lost = list(state.lost)
+    branches = _feed(state.branches, photon, state.num_pairs + photon, state.num_qubits,
+                     state.qd_axes, refl1, refl2, config.eta0, lost)
+    fed = tuple(done or i == photon for i, done in enumerate(state.fed))
+    return NetworkState(state.num_pairs, branches, lost, fed)
 
 
 @dataclass(frozen=True)
@@ -151,72 +111,50 @@ class SwapOutcome:
     predicted: GhzLabel | None
 
 
-def _contract_axis(t: np.ndarray, axis: int, vec: np.ndarray) -> np.ndarray:
-    """<vec| applied to one axis; remaining axes keep their order."""
-    return np.tensordot(vec.conj(), t, axes=([0], [axis]))
+def _factor_out_unfed_pairs(state: NetworkState, amps: np.ndarray) -> np.ndarray:
+    """Contract the untouched pairs out of one live branch vector.
 
-
-def _factor_out_unfed_pairs(state: NetworkState):
-    """Contract untouched pairs out of every live branch.
-
-    Returns (list of (clicks-of-fed, amps, lost_weight) with reduced layout,
-    fed photon indices). Raises if a supposedly untouched pair turns out to
-    be entangled with the rest.
+    Returns the vector on the fed spins, fed photons and two QDs. Raises if a
+    supposedly untouched pair turns out to be entangled with the rest.
     """
-    fed = [i for i, used in enumerate(state.fed) if used]
-    unfed = [i for i in range(state.num_pairs) if i not in fed]
     m0 = state.num_pairs
-    reduced = []
-    for br in state.branches:
-        clicks = tuple(br.clicks[i] for i in fed)
-        if br.amps is None:
-            reduced.append((clicks, None, br.weight))
-            continue
-        t = br.amps.reshape([2] * state.num_qubits)
-        axes = list(range(state.num_qubits))  # original axis ids still present
-        for i in unfed:
-            tt = np.moveaxis(t, (axes.index(i), axes.index(m0 + i)), (0, 1))
-            rest = (tt[0, 0] + tt[1, 1]) * SQRT_HALF
-            recon = np.zeros_like(tt)
-            recon[0, 0] = rest * SQRT_HALF
-            recon[1, 1] = rest * SQRT_HALF
-            if norm2(tt - recon) > 1e-12 * max(1.0, norm2(t)):
-                raise ValueError(f"pair {i} is no longer a product factor")
-            t = rest
-            axes.remove(i)
-            axes.remove(m0 + i)
-        reduced.append((clicks, t.reshape(-1), None))
-    return reduced, fed
+    t = amps.reshape([2] * state.num_qubits)
+    axes = list(range(state.num_qubits))  # original axis ids still present
+    for i in (i for i, done in enumerate(state.fed) if not done):
+        tt = np.moveaxis(t, (axes.index(i), axes.index(m0 + i)), (0, 1))
+        rest = (tt[0, 0] + tt[1, 1]) * SQRT_HALF
+        recon = np.zeros_like(tt)
+        recon[0, 0] = rest * SQRT_HALF
+        recon[1, 1] = rest * SQRT_HALF
+        if norm2(tt - recon) > 1e-12 * max(1.0, norm2(t)):
+            raise ValueError(f"pair {i} is no longer a product factor")
+        t = rest
+        axes.remove(i)
+        axes.remove(m0 + i)
+    return t.reshape(-1)
 
 
 def _swap_outcomes(state: NetworkState, expect_fed: int) -> list[SwapOutcome]:
-    fed_count = sum(state.fed)
-    if fed_count != expect_fed:
-        raise ValueError(f"swap needs exactly {expect_fed} fed photons, got {fed_count}")
-    reduced, fed = _factor_out_unfed_pairs(state)
+    fed = [i for i, done in enumerate(state.fed) if done]
+    if len(fed) != expect_fed:
+        raise ValueError(f"swap needs exactly {expect_fed} fed photons, got {len(fed)}")
     m = len(fed)
     nq = 2 * m + 2  # fed spins + fed photons + two QDs
-    qd_axes = (2 * m, 2 * m + 1)
+    aborted: dict = {}  # distinct lost and error branches can share a click record
+    for fates, w in state.lost:
+        clicks = tuple(fates[i] for i in fed)
+        aborted[clicks] = aborted.get(clicks, 0.0) + w
     outcomes: list[SwapOutcome] = []
-    aborted: dict = {}  # distinct error branches can share a click record
-    for clicks, amps, lost_weight in reduced:
-        if amps is None:
-            aborted[clicks] = aborted.get(clicks, 0.0) + lost_weight
+    for br in state.branches:
+        clicks = tuple(br.fates[i] for i in fed)
+        if any(c not in CONCLUSIVE_FATES for c in clicks):
+            aborted[clicks] = aborted.get(clicks, 0.0) + br.weight
             continue
-        if any(c not in (PhotonFate.D1, PhotonFate.D2) for c in clicks):
-            aborted[clicks] = aborted.get(clicks, 0.0) + norm2(amps)
-            continue
-        for qd_pair, proj, w in _qd_readouts(amps, nq, qd_axes):
-            t = proj.reshape([2] * nq)
-            for axis, ket in ((qd_axes[1], _QD_KETS[qd_pair[1]]),
-                              (qd_axes[0], _QD_KETS[qd_pair[0]])):
-                t = _contract_axis(t, axis, ket)
-            for j in reversed(range(m)):  # photon axes, highest first
-                bit = 0 if clicks[j] is PhotonFate.D1 else 1
-                basis = np.zeros(2, dtype=complex)
-                basis[bit] = 1.0
-                t = _contract_axis(t, m + j, basis)
-            vec = t.reshape(-1)
+        # detected photons sit on their click's bit: D1 = H = 0, D2 = V = 1
+        bits = sum(1 << (m - 1 - j) for j, c in enumerate(clicks) if c is PhotonFate.D2)
+        amps = _factor_out_unfed_pairs(state, br.amps)
+        for qd_pair, rest, w in _qd_readouts(amps, nq, (2 * m, 2 * m + 1)):
+            vec = rest.reshape(2 ** m, 2 ** m)[:, bits]  # axes: spins, photons
             remote = QubitRegister(m, vec / np.sqrt(norm2(vec)))
             predicted = classify(OutcomeRecord(clicks, qd_pair, w), m)
             outcomes.append(SwapOutcome(clicks, qd_pair, w, remote, predicted))
@@ -224,9 +162,6 @@ def _swap_outcomes(state: NetworkState, expect_fed: int) -> list[SwapOutcome]:
                     for clicks, p in aborted.items())
     return sorted(outcomes, key=lambda o: (tuple(c.value for c in o.clicks),
                                            o.qd_readout or ()))
-
-
-_QD_KETS = {"+": KET_PLUS, "-": KET_MINUS}
 
 
 def bell_swap(state: NetworkState) -> list[SwapOutcome]:

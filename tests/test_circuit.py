@@ -3,12 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from ghzsim.circuit import (QND1, QND2, AnalyzerConfig, HybridState,
-                            OutcomeRecord, PhotonFate, analyze_bell,
+from ghzsim._ops import norm2
+from ghzsim.circuit import (AnalyzerConfig, HybridState, OutcomeRecord,
+                            PhotonFate, _scatter_arm, analyze_bell,
                             classification_distribution, classify,
                             conclusive_probability)
 from ghzsim.circuit import final_branches as circuit_final_branches
-from ghzsim.circuit import qnd_scatter, run_analyzer
+from ghzsim.circuit import run_analyzer
 from ghzsim.scattering import (CavityQDParams, PulseSpectrum, ReflectionPair,
                                average_efficiency, eta1, reflection_coeffs)
 from ghzsim.states import GhzLabel, QubitRegister, basis_state, bell_state, ghz_state
@@ -53,42 +54,36 @@ def random_register(n, seed):
 
 
 class TestQndScatter:
+    """One arm component off its QND detector; layout photon, QD1, QD2."""
+
+    QD1, QD2 = 1, 2
+
     def test_ideal_flip(self):
-        state = HybridState.initial(basis_state(1, (0,)))  # |H>|+>|+>
-        branches = qnd_scatter(state, 0, QND2, ReflectionPair.ideal())
-        flip, err = branches[0], branches[1]
-        assert len(branches) == 2  # no loss branch in the ideal case
-        assert flip.weight == pytest.approx(1.0, abs=1e-15)
-        assert err.weight == pytest.approx(0.0, abs=1e-15)
+        amps = HybridState.initial(basis_state(1, (0,))).amps  # |H>|+>|+>
+        flip, err, lost = _scatter_arm(amps, 3, 0, self.QD2, ReflectionPair.ideal())
+        assert lost == 0.0  # no loss in the ideal case
+        assert norm2(flip) == pytest.approx(1.0, abs=1e-15)
+        assert norm2(err) == pytest.approx(0.0, abs=1e-15)
         # |V>|+>|->: index V=1 on photon, +=(0+1)/sqrt2 on QD1, -=(0-1)/sqrt2 on QD2
         expected = np.zeros(8, dtype=complex)
         expected[0b100] = expected[0b110] = 0.5
         expected[0b101] = expected[0b111] = -0.5
-        np.testing.assert_allclose(flip.amps, expected, atol=1e-15)
+        np.testing.assert_allclose(flip, expected, atol=1e-15)
 
     def test_equal_amplitudes_kill_flip_branch(self):
         refl = ReflectionPair(r0=0.6 + 0.0j, r1=0.6 + 0.0j)
-        state = HybridState.initial(basis_state(1, (1,)))
-        flip, err, lost = qnd_scatter(state, 0, QND1, refl)
-        assert flip.weight == pytest.approx(0.0, abs=1e-15)
-        assert err.weight == pytest.approx(0.36, abs=1e-15)
-        assert err.fates == (PhotonFate.D3,)
-        assert lost.weight == pytest.approx(0.64, abs=1e-15)
-        assert lost.amps is None
+        amps = HybridState.initial(basis_state(1, (1,))).amps
+        flip, err, lost = _scatter_arm(amps, 3, 0, self.QD1, refl)
+        assert norm2(flip) == pytest.approx(0.0, abs=1e-15)
+        assert norm2(err) == pytest.approx(0.36, abs=1e-15)
+        np.testing.assert_allclose(err, 0.6 * amps, atol=1e-15)  # error leaves all unchanged
+        assert lost == pytest.approx(0.64, abs=1e-15)
 
     def test_flip_weight_equals_eta1(self):
         refl = reflection_coeffs(STANDARD, 1.7)
-        state = HybridState.initial(basis_state(1, (1,)))
-        flip = qnd_scatter(state, 0, QND1, refl)[0]
-        assert flip.weight == pytest.approx(eta1(STANDARD, 1.7), rel=1e-12)
-
-    def test_terminated_photon_rejected(self):
-        state = HybridState.initial(basis_state(2, (0, 0)))
-        state.fates = (PhotonFate.D3, PhotonFate.IN_CIRCUIT)
-        with pytest.raises(ValueError):
-            qnd_scatter(state, 0, QND1, ReflectionPair.ideal())
-        with pytest.raises(ValueError):
-            qnd_scatter(state, 1, 3, ReflectionPair.ideal())
+        amps = HybridState.initial(basis_state(1, (1,))).amps
+        flip = _scatter_arm(amps, 3, 0, self.QD1, refl)[0]
+        assert norm2(flip) == pytest.approx(eta1(STANDARD, 1.7), rel=1e-12)
 
 
 class TestIdealRuns:

@@ -226,13 +226,23 @@ class TestAnalyzeCommand:
                            "--omega", "0", "--sigma", "0.3"], tmp_path, "a.json")
         assert code == 2
 
-    @pytest.mark.parametrize("nodes", ["257", "512"])
-    def test_pulse_node_count_over_cap_exits_2(self, nodes, tmp_path, capsys):
-        code, text = run_cli(["analyze", "GHZ:01", "--mode", "realistic", "--sigma", "0.6",
-                              "--quad-nodes", nodes], tmp_path, "a.json")
+    @pytest.mark.parametrize("flags", [
+        pytest.param(("--mode", "realistic", "--sigma", "0.6", "--quad-nodes", "257"),
+                     id="257"),
+        pytest.param(("--mode", "realistic", "--sigma", "0.6", "--quad-nodes", "512"),
+                     id="512"),
+        pytest.param(("--mode", "realistic", "--omega", "0", "--quad-nodes", "100000"),
+                     id="monochromatic-100000"),
+        pytest.param(("--quad-nodes", "100000"), id="ideal-100000"),
+        pytest.param(("--enumeration", "monte-carlo", "--shots", "10",
+                      "--quad-nodes", "100000"), id="monte-carlo-100000"),
+    ])
+    def test_pulse_node_count_over_cap_exits_2(self, flags, tmp_path, capsys):
+        # every mode refuses the count, not only the one that builds a rule
+        code, text = run_cli(["analyze", "GHZ:01", *flags], tmp_path, "a.json")
         assert code == 2
         assert text == ""
-        assert "1..256" in capsys.readouterr().err
+        assert "2..256" in capsys.readouterr().err
 
     def test_monte_carlo_runs(self, tmp_path):
         code, text = run_cli(["analyze", "BELL:psi-", "--enumeration", "monte-carlo",
@@ -337,6 +347,15 @@ class TestConfigHandling:
     def test_missing_config_exits_2(self, tmp_path):
         code, _ = run_cli(["table1", "--config", "no-such-profile"], tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--seed", "--shots"])
+    @pytest.mark.parametrize("command", [
+        ["reflection"], ["efficiency-map"], ["table1"], ["swap", "--pairs", "2"]])
+    def test_sampling_flags_only_on_analyze(self, command, flag, tmp_path, capsys):
+        code, text = run_cli([*command, flag, "5"], tmp_path)
+        assert code == 2
+        assert text == ""
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2

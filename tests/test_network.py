@@ -1,17 +1,20 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from ghzsim._ops import reduced_single_qubit
-from ghzsim.circuit import AnalyzerConfig, PhotonFate
+from ghzsim.circuit import AnalyzerConfig, PhotonFate, run_analyzer
 from ghzsim.network import (bell_swap, feed_photon, ghz_swap,
                             hybrid_pair_state, make_network)
 from ghzsim.scattering import CavityQDParams, PulseSpectrum, error_prob, eta1
-from ghzsim.states import GhzLabel, bell_name, fidelity, ghz_state
+from ghzsim.states import GhzLabel, basis_state, bell_name, fidelity, ghz_state
 from oracles import (BELL_VECTORS, SQ2, expected_phi0, expected_phi1,
                      expected_phi2, expected_phi3, up_to_phase)
 
 IDEAL = AnalyzerConfig(mode="ideal")
 STANDARD = CavityQDParams.resonant(g=30.0, kappa=90.0, kappa_s=30.0, gamma=0.3)
+FIG5 = CavityQDParams.resonant(g=30.0, kappa=270.0, kappa_s=30.0, gamma=0.3)
 
 
 class TestMakeNetwork:
@@ -71,9 +74,10 @@ class TestFeedPhoton:
         config = AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.9)
         state = feed_photon(make_network(3), 0, config)
         d3 = sum(br.weight for br in state.branches
-                 if br.clicks[0] is PhotonFate.D3)
+                 if br.fates[0] is PhotonFate.D3)
         assert d3 == pytest.approx(error_prob(STANDARD, 0.9), abs=1e-12)
-        total = sum(br.weight for br in state.branches)
+        total = (sum(br.weight for br in state.branches)
+                 + sum(w for _, w in state.lost))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_no_signaling_on_unfed_spins(self):
@@ -81,8 +85,6 @@ class TestFeedPhoton:
                        AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.0)):
             state = feed_photon(make_network(3), 0, config)
             for br in state.branches:
-                if br.amps is None:
-                    continue
                 norm = np.sqrt(br.weight)
                 for spin in (1, 2):  # remote spins with unfed photons
                     rho = reduced_single_qubit(br.amps / norm, 8, spin)
@@ -210,3 +212,34 @@ class TestGhzSwap:
         state = feed_photon(state, 1, IDEAL)
         with pytest.raises(ValueError):
             ghz_swap(state)
+
+
+class TestSwapMatchesAnalyzer:
+    """The hub photons of m hybrid pairs are maximally mixed, so the swap's
+    click/QD statistics are the analyzer's averaged over the 2^m basis inputs."""
+
+    @pytest.mark.parametrize("eta0", [1.0, 0.9, 0.5])
+    @pytest.mark.parametrize("realistic", [False, True], ids=["ideal", "fig5"])
+    @pytest.mark.parametrize("pairs", [2, 3])
+    def test_outcome_probabilities(self, pairs, realistic, eta0):
+        config = (AnalyzerConfig(mode="realistic", qnd1=FIG5, omega=1.3, eta0=eta0)
+                  if realistic else AnalyzerConfig(mode="ideal", eta0=eta0))
+        state = make_network(pairs)
+        for photon in range(pairs):
+            state = feed_photon(state, photon, config)
+        outcomes = bell_swap(state) if pairs == 2 else ghz_swap(state)
+        swap = {}
+        for o in outcomes:
+            key = (o.clicks, o.qd_readout)
+            swap[key] = swap.get(key, 0.0) + o.probability
+        assert sum(swap.values()) == pytest.approx(1.0, abs=1e-12)
+
+        analyzer = {}
+        for bits in itertools.product((0, 1), repeat=pairs):
+            for r in run_analyzer(basis_state(pairs, bits), config):
+                # the swap aborts inconclusive runs before the QD readout
+                key = (r.fates, r.qd_readout if r.conclusive else None)
+                analyzer[key] = analyzer.get(key, 0.0) + r.probability / 2 ** pairs
+        assert any(k[1] is None for k in swap) == (realistic or eta0 < 1.0)
+        for key in set(swap) | set(analyzer):
+            assert swap.get(key, 0.0) == pytest.approx(analyzer.get(key, 0.0), abs=1e-12), key
