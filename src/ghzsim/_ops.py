@@ -18,20 +18,13 @@ KET_PLUS = np.array([SQRT_HALF, SQRT_HALF], dtype=complex)
 KET_MINUS = np.array([SQRT_HALF, -SQRT_HALF], dtype=complex)
 
 
-def apply_single_qubit(state: np.ndarray, n: int, qubit: int, matrix: np.ndarray) -> np.ndarray:
+def apply_single_qubit(state: np.ndarray, qubit: int, matrix: np.ndarray) -> np.ndarray:
     """Apply a 2x2 matrix to one qubit of a flat 2**n state vector."""
     t = state.reshape(2 ** qubit, 2, -1)
     out = np.empty_like(t)
     out[:, 0, :] = matrix[0, 0] * t[:, 0, :] + matrix[0, 1] * t[:, 1, :]
     out[:, 1, :] = matrix[1, 0] * t[:, 0, :] + matrix[1, 1] * t[:, 1, :]
     return out.reshape(-1)
-
-
-def project_qubit(state: np.ndarray, n: int, qubit: int, bit: int) -> np.ndarray:
-    """Zero out the component where `qubit` != bit; dimensions are kept."""
-    t = state.reshape(2 ** qubit, 2, -1).copy()
-    t[:, 1 - bit, :] = 0.0
-    return t.reshape(-1)
 
 
 def norm2(state: np.ndarray) -> float:

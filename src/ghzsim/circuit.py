@@ -13,9 +13,13 @@ Photons are fed one at a time; the per-photon maps commute, so this is
 equivalent to sending all photons through together. Branch amplitudes are
 kept unnormalized so that squared norms are physical probabilities.
 
-State layout: axes 0..n-1 are the photons, axis n is QD1, axis n+1 is QD2.
-The swapping network runs the same photon step (`_feed`) with its remote
-spins as extra leading axes; the analyzer is that layout with no spins.
+Branch layout: a branch vector holds only the qubits still in play, that is
+the photons not yet detected (in photon order) followed by QD1 and QD2. A
+detected photon leaves the vector; its branch keeps its fate and the
+polarization it was left in. The swapping network runs the same photon step
+(`_feed`) with its remote spins as extra leading qubits; the analyzer is that
+layout with no spins. Exhaustive, pulse-averaged and Monte-Carlo runs all
+feed photons through `_feed` and read the QDs out through `_qd_readouts`.
 """
 from __future__ import annotations
 
@@ -24,8 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._ops import (HADAMARD, KET_MINUS, KET_PLUS, PAULI_X, PAULI_Z,
-                   apply_single_qubit, kron_all, norm2, project_qubit)
+from ._ops import KET_MINUS, KET_PLUS, SQRT_HALF, kron_all, norm2
 from .scattering import (MAX_QUAD_NODES, CavityQDParams, PulseSpectrum,
                          ReflectionPair, _hermite_nodes, reflection_coeffs)
 from .states import GhzLabel, QubitRegister, bell_name
@@ -101,23 +104,44 @@ class AnalyzerConfig:
 class HybridState:
     """One live, unnormalized branch of the joint photon/QD state.
 
-    `amps` covers every qubit of the layout (spectator spins, photons, the two
-    QDs); slots of already detected photons stay collapsed onto the recorded
-    polarization so that summing branch vectors reconstructs the unmeasured
-    state. `fates` has one entry per photon.
+    `vec` holds only the qubits still in play: spectator spins, the photons
+    still IN_CIRCUIT (in photon order), then QD1 and QD2. `fates` has one
+    entry per photon; `pols[k]` is the polarization bit (H = 0, V = 1) that
+    detected photon k was left in. `amps` rebuilds the full layout with every
+    detected photon collapsed on that bit, so summing branch `amps`
+    reconstructs the state with the detectors read nondestructively.
     """
 
     fates: tuple[PhotonFate, ...]
-    amps: np.ndarray
+    vec: np.ndarray
+    pols: tuple[int, ...]
     weight: float = field(init=False)
 
     def __post_init__(self):
-        self.weight = norm2(self.amps)
+        self.weight = norm2(self.vec)
 
     @classmethod
     def initial(cls, photons: QubitRegister) -> "HybridState":
-        amps = kron_all(photons.amplitudes, KET_PLUS, KET_PLUS)
-        return cls(fates=(PhotonFate.IN_CIRCUIT,) * photons.num_qubits, amps=amps)
+        n = photons.num_qubits
+        vec = kron_all(photons.amplitudes, KET_PLUS, KET_PLUS)
+        return cls((PhotonFate.IN_CIRCUIT,) * n, vec, (0,) * n)
+
+    @property
+    def amps(self) -> np.ndarray:
+        """Full-layout vector: spins, every photon, QD1, QD2."""
+        t = self.vec
+        n = len(self.fates)
+        for k in reversed(range(n)):  # photons after k are already in place
+            if self.fates[k] is not PhotonFate.IN_CIRCUIT:
+                t = t.reshape(-1, 1, 4 * 2 ** (n - 1 - k))
+                zero = np.zeros_like(t)
+                t = np.concatenate((zero, t) if self.pols[k] else (t, zero), axis=1)
+        return t.reshape(-1)
+
+    def child(self, photon: int, fate: PhotonFate, pol: int, vec: np.ndarray) -> "HybridState":
+        """This branch after `photon` left it with `fate` and polarization `pol`."""
+        return HybridState(_with_fate(self.fates, photon, fate),
+                           vec.reshape(-1), _with_fate(self.pols, photon, pol))
 
 
 @dataclass(frozen=True)
@@ -143,9 +167,9 @@ class OutcomeRecord:
         return "".join("H" if f is PhotonFate.D1 else "V" for f in self.fates)
 
 
-def _with_fate(fates: tuple[PhotonFate, ...], photon: int, fate: PhotonFate):
-    out = list(fates)
-    out[photon] = fate
+def _with_fate(items: tuple, photon: int, value) -> tuple:
+    out = list(items)
+    out[photon] = value
     return tuple(out)
 
 
@@ -153,54 +177,45 @@ def _lost_fates(fates: tuple[PhotonFate, ...]):
     return tuple(PhotonFate.LOST if f is PhotonFate.IN_CIRCUIT else f for f in fates)
 
 
-def _scatter_arm(amps: np.ndarray, nq: int, photon_axis: int, qd_axis: int,
-                 refl: ReflectionPair):
-    """Reflection of one arm component off its QND detector.
-
-    Returns (flip amplitudes, error amplitudes, lost weight)."""
-    f = refl.flip_amplitude()
-    e = refl.error_amplitude()
-    lost_frac = max(0.0, 1.0 - abs(f) ** 2 - abs(e) ** 2)
-    flipped = apply_single_qubit(amps, nq, photon_axis, PAULI_X)
-    flipped = f * apply_single_qubit(flipped, nq, qd_axis, PAULI_Z)
-    return flipped, e * amps, lost_frac * norm2(amps)
+# sign of a +/- flip of QD1 or QD2 on the trailing (QD1, QD2) axis of 4
+_QD_SIGNS = (np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0]))
 
 
-def _photon_step(amps: np.ndarray, nq: int, fates, photon: int, photon_axis: int,
-                 qd_axes: tuple[int, int], refl1: ReflectionPair,
+def _photon_step(br: HybridState, photon: int, refl1: ReflectionPair,
                  refl2: ReflectionPair, eta0: float):
-    """One full analyzer pass of one photon, on an arbitrary axis layout.
+    """One full analyzer pass of one photon in one branch.
 
-    Returns (list of (fates, amps) continuing branches, lost weight); the
-    photon ends at D1/D2 (LOST on a failed click) or D3 in each branch.
+    Returns (children, lost weight). The photon leaves every child's vector:
+    it ends at D3 via QND1, D3 via QND2, D1 (then LOST on a failed click) or
+    D2 (then LOST), in that order.
     """
-    amps = apply_single_qubit(amps, nq, photon_axis, HADAMARD)
-    v_part = project_qubit(amps, nq, photon_axis, 1)
-    h_part = project_qubit(amps, nq, photon_axis, 0)
-
+    right = 2 ** sum(f is PhotonFate.IN_CIRCUIT for f in br.fates[photon + 1:])
+    t = br.vec.reshape(-1, 2, right, 4)  # (left, photon, right, QD pair)
+    # half-wave plate, then the PBS sends V to QND1 and H to QND2
+    v_arm = (t[:, 0] - t[:, 1]) * SQRT_HALF
+    h_arm = (t[:, 0] + t[:, 1]) * SQRT_HALF
     out = []
     lost = 0.0
-    flip_total = None
-    for part, qd_axis, refl in ((v_part, qd_axes[0], refl1), (h_part, qd_axes[1], refl2)):
-        flipped, errored, lost_w = _scatter_arm(part, nq, photon_axis, qd_axis, refl)
-        flip_total = flipped if flip_total is None else flip_total + flipped
-        lost += lost_w
-        if norm2(errored) > PRUNE_TOL:
-            out.append((_with_fate(fates, photon, PhotonFate.D3), errored))
-    # surviving component: recombine, second half-wave plate, final PBS
-    cont = apply_single_qubit(flip_total, nq, photon_axis, HADAMARD)
-    for bit, fate in ((0, PhotonFate.D1), (1, PhotonFate.D2)):
-        proj = project_qubit(cont, nq, photon_axis, bit)
-        w = norm2(proj)
+    for arm, refl, pol in ((v_arm, refl1, 1), (h_arm, refl2, 0)):
+        f, e = refl.flip_amplitude(), refl.error_amplitude()
+        lost += max(0.0, 1.0 - abs(f) ** 2 - abs(e) ** 2) * norm2(arm)
+        errored = br.child(photon, PhotonFate.D3, pol, e * arm)
+        if errored.weight > PRUNE_TOL:
+            out.append(errored)
+    # a reflection flips the photon and toggles the addressed QD in the +/- basis
+    to_h = refl1.flip_amplitude() * v_arm * _QD_SIGNS[0]
+    to_v = refl2.flip_amplitude() * h_arm * _QD_SIGNS[1]
+    # recombination, second half-wave plate, final PBS
+    for fate, pol, click in ((PhotonFate.D1, 0, (to_h + to_v) * SQRT_HALF),
+                             (PhotonFate.D2, 1, (to_h - to_v) * SQRT_HALF)):
+        w = norm2(click)
         if w <= PRUNE_TOL:
             lost += w
-            continue
-        if eta0 < 1.0:
-            out.append((_with_fate(fates, photon, fate), np.sqrt(eta0) * proj))
-            out.append((_with_fate(fates, photon, PhotonFate.LOST),
-                        np.sqrt(1.0 - eta0) * proj))
+        elif eta0 < 1.0:
+            out.append(br.child(photon, fate, pol, np.sqrt(eta0) * click))
+            out.append(br.child(photon, PhotonFate.LOST, pol, np.sqrt(1.0 - eta0) * click))
         else:
-            out.append((_with_fate(fates, photon, fate), proj))
+            out.append(br.child(photon, fate, pol, click))
     return out, lost
 
 
@@ -210,22 +225,15 @@ _QD_PAIR_KETS = np.array([np.kron(k1, k2)
                           for k2 in (KET_PLUS, KET_MINUS)])
 
 
-def _qd_pair_components(amps: np.ndarray, nq: int, qd_axes: tuple[int, int]) -> np.ndarray:
-    """(rest, 4) array of <pair|state> components; QD axes must be the last two."""
-    if qd_axes != (nq - 2, nq - 1):
-        raise ValueError("QD axes must be the trailing two qubits")
-    return amps.reshape(-1, 4) @ _QD_PAIR_KETS.T  # kets are real
+def _qd_readouts(vec: np.ndarray):
+    """Read the two trailing QDs out in the +/- basis; yields (pair, rest, weight).
 
-
-def _qd_readouts(amps: np.ndarray, nq: int, qd_axes: tuple[int, int]):
-    """Read the two QDs out in the +/- basis; yields (pair, rest, weight).
-
-    `rest` is <pair|state> on the other nq - 2 qubits, unnormalized.
+    `rest` is <pair|vec> on the other qubits, unnormalized.
     """
-    comps = _qd_pair_components(amps, nq, qd_axes)
+    comps = vec.reshape(-1, 4) @ _QD_PAIR_KETS.T  # kets are real
     for j, pair in enumerate(QD_PAIRS):
         rest = comps[:, j]
-        w = float(np.real(np.vdot(rest, rest)))
+        w = norm2(rest)
         if w > PRUNE_TOL:
             yield pair, rest, w
 
@@ -243,9 +251,8 @@ def _aggregate(raw: list[OutcomeRecord]) -> list[OutcomeRecord]:
     return sorted(records, key=_fate_sort_key)
 
 
-def _feed(branches: list[HybridState], photon: int, photon_axis: int, nq: int,
-          qd_axes: tuple[int, int], refl1: ReflectionPair, refl2: ReflectionPair,
-          eta0: float, lost: list) -> list[HybridState]:
+def _feed(branches: list[HybridState], photon: int, refl1: ReflectionPair,
+          refl2: ReflectionPair, eta0: float, lost: list) -> list[HybridState]:
     """Send one photon through the analyzer in every branch; returns the live ones.
 
     Scattering loss and branches pruned at or below PRUNE_TOL are appended to
@@ -254,29 +261,23 @@ def _feed(branches: list[HybridState], photon: int, photon_axis: int, nq: int,
     """
     out = []
     for br in branches:
-        stepped, lost_w = _photon_step(br.amps, nq, br.fates, photon, photon_axis,
-                                       qd_axes, refl1, refl2, eta0)
+        stepped, lost_w = _photon_step(br, photon, refl1, refl2, eta0)
         if lost_w > 0.0:
             lost.append((_lost_fates(_with_fate(br.fates, photon, PhotonFate.LOST)), lost_w))
-        for fates, amps in stepped:
-            nb = HybridState(fates, amps)
+        for nb in stepped:
             if nb.weight > PRUNE_TOL:
                 out.append(nb)
             elif nb.weight > 0.0:
-                lost.append((_lost_fates(fates), nb.weight))
+                lost.append((_lost_fates(nb.fates), nb.weight))
     return out
 
 
 def _evolve_branches(photons: QubitRegister, refl1, refl2, eta0, order):
-    """All photons through the pipeline; returns (live branches, loss records).
-
-    This is the network layout with no spectator spins, so photon k sits on axis k.
-    """
-    n = photons.num_qubits
+    """All photons through the pipeline; returns (live branches, loss records)."""
     lost: list = []
     branches = [HybridState.initial(photons)]
     for k in order:
-        branches = _feed(branches, k, k, n + 2, (n, n + 1), refl1, refl2, eta0, lost)
+        branches = _feed(branches, k, refl1, refl2, eta0, lost)
     return branches, [OutcomeRecord(fates, None, w) for fates, w in lost]
 
 
@@ -284,9 +285,10 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
                    order=None) -> list[HybridState]:
     """Run every photon through the analyzer, stopping before the QD readout.
 
-    Summing the returned branch vectors reconstructs the joint photon/QD
-    state with the destructive detectors treated as nondestructive, which is
-    what conditional post-measurement checks need. Monochromatic configs only.
+    Summing the returned branch vectors (`amps`) reconstructs the joint
+    photon/QD state with the destructive detectors treated as nondestructive,
+    which is what conditional post-measurement checks need. Monochromatic
+    configs only.
     """
     n = photons.num_qubits
     if n < 2:
@@ -301,13 +303,24 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
     return branches
 
 
-def _run_exhaustive_mono(photons: QubitRegister, refl1, refl2, eta0, order):
-    n = photons.num_qubits
-    branches, records = _evolve_branches(photons, refl1, refl2, eta0, order)
-    for br in branches:
-        for pair, _, w in _qd_readouts(br.amps, n + 2, (n, n + 1)):
-            records.append(OutcomeRecord(br.fates, pair, w))
-    return records
+def _run_exhaustive(photons: QubitRegister, config: AnalyzerConfig, order):
+    """Exact records, averaged over the pulse's quadrature nodes if it has one."""
+    if config.spectrum is not None and config.mode == "realistic":
+        x, w = _hermite_nodes(config.quad_nodes)
+        omegas = config.spectrum.omega_c + config.spectrum.sigma * x
+        runs = [(config.reflection_pairs(om), wi / np.sqrt(np.pi))
+                for om, wi in zip(omegas, w)]
+    else:
+        runs = [(config.reflection_pairs(), 1.0)]
+    raw: list[OutcomeRecord] = []
+    for (refl1, refl2), scale in runs:
+        branches, records = _evolve_branches(photons, refl1, refl2, config.eta0, order)
+        for br in branches:
+            for pair, _, w in _qd_readouts(br.vec):
+                records.append(OutcomeRecord(br.fates, pair, w))
+        raw.extend(OutcomeRecord(r.fates, r.qd_readout, scale * r.probability)
+                   for r in records)
+    return raw
 
 
 def _sample_omega(rng, spectrum: PulseSpectrum) -> float:
@@ -315,16 +328,14 @@ def _sample_omega(rng, spectrum: PulseSpectrum) -> float:
     return rng.normal(spectrum.omega_c, spectrum.sigma / np.sqrt(2.0))
 
 
-def _pick(rng, weights: np.ndarray) -> int:
+def _pick(rng, weights) -> int:
     cum = np.cumsum(weights)
     return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
 
 
 def _run_monte_carlo(photons: QubitRegister, config: AnalyzerConfig, shots, order):
+    """One trajectory per shot: a normalized branch, a weighted pick per photon."""
     rng = np.random.default_rng(config.seed)
-    n = photons.num_qubits
-    nq = n + 2
-    qd_axes = (n, n + 1)
     counts: dict = {}
     init = HybridState.initial(photons)
     fixed_pairs = config.reflection_pairs() if config.spectrum is None else None
@@ -333,27 +344,19 @@ def _run_monte_carlo(photons: QubitRegister, config: AnalyzerConfig, shots, orde
             refl1, refl2 = config.reflection_pairs(_sample_omega(rng, config.spectrum))
         else:
             refl1, refl2 = fixed_pairs
-        amps = init.amps
-        fates = init.fates
-        alive = True
+        br = init
         for k in order:
-            stepped, lost = _photon_step(amps, nq, fates, k, k, qd_axes,
-                                         refl1, refl2, config.eta0)
-            weights = np.array([norm2(a) for _, a in stepped] + [lost])
-            pick = _pick(rng, weights)
-            if pick == len(stepped):  # scattering loss terminates the shot
-                fates = _lost_fates(_with_fate(fates, k, PhotonFate.LOST))
-                alive = False
+            lost: list = []
+            live = _feed([br], k, refl1, refl2, config.eta0, lost)
+            pick = _pick(rng, [b.weight for b in live] + [w for _, w in lost])
+            if pick >= len(live):  # loss terminates the shot
+                key = (lost[pick - len(live)][0], None)
                 break
-            fates, chosen = stepped[pick]
-            amps = chosen / np.sqrt(weights[pick])
-        if alive:
-            comps = _qd_pair_components(amps, nq, qd_axes)
-            weights = np.einsum("ij,ij->j", comps.real, comps.real) \
-                + np.einsum("ij,ij->j", comps.imag, comps.imag)
-            key = (fates, QD_PAIRS[_pick(rng, weights)])
+            br = live[pick]
+            br = HybridState(br.fates, br.vec / np.sqrt(br.weight), br.pols)
         else:
-            key = (fates, None)
+            readouts = list(_qd_readouts(br.vec))
+            key = (br.fates, readouts[_pick(rng, [w for _, _, w in readouts])][0])
         counts[key] = counts.get(key, 0) + 1
     return [OutcomeRecord(f, qd, c / shots) for (f, qd), c in counts.items()]
 
@@ -374,25 +377,11 @@ def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
     order = list(range(n)) if order is None else list(order)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the photon indices")
-
     if config.enumeration == "monte-carlo":
         if shots < 1:
             raise ValueError("shots must be >= 1")
         return _aggregate(_run_monte_carlo(photons, config, shots, order))
-
-    if config.spectrum is not None and config.mode == "realistic":
-        x, w = _hermite_nodes(config.quad_nodes)
-        raw: list[OutcomeRecord] = []
-        for xi, wi in zip(x, w):
-            omega = config.spectrum.omega_c + config.spectrum.sigma * xi
-            refl1, refl2 = config.reflection_pairs(omega)
-            scale = wi / np.sqrt(np.pi)
-            for r in _run_exhaustive_mono(photons, refl1, refl2, config.eta0, order):
-                raw.append(OutcomeRecord(r.fates, r.qd_readout, scale * r.probability))
-        return _aggregate(raw)
-
-    refl1, refl2 = config.reflection_pairs()
-    return _aggregate(_run_exhaustive_mono(photons, refl1, refl2, config.eta0, order))
+    return _aggregate(_run_exhaustive(photons, config, order))
 
 
 def classify(record: OutcomeRecord, n: int):

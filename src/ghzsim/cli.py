@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import json
 import os
 import sys
@@ -316,15 +317,14 @@ def cmd_table1(args: argparse.Namespace) -> RunReport:
 
 def _analyzer_config(settings: _Settings, args: argparse.Namespace) -> AnalyzerConfig:
     mode = settings.get("analyzer", "mode", "ideal", cast=str)
-    if mode not in ("ideal", "realistic"):
-        raise UsageError(f"mode must be 'ideal' or 'realistic', got {mode!r}")
     enumeration = settings.get("analyzer", "enumeration", "exhaustive", cast=str)
     eta0 = settings.get("analyzer", "eta0", 1.0)
     nodes = int(settings.get("analyzer", "quad_nodes", 64, cast=int))
     seed = int(settings.get("analyzer", "seed", 0, cast=int))
     params = _scattering_params(settings) if mode == "realistic" else None
     omega = getattr(args, "omega", None)
-    sigma = settings.get("pulse", "sigma", None)
+    # [pulse] applies only where --sigma exists: swap runs are monochromatic
+    sigma = settings.get("pulse", "sigma", None) if hasattr(args, "sigma") else None
     if getattr(args, "sigma", None) is not None and omega is not None:
         raise UsageError("give either --omega (monochromatic) or --sigma (pulse)")
     spectrum = None
@@ -387,11 +387,7 @@ def cmd_analyze(args: argparse.Namespace) -> RunReport:
 
 def cmd_swap(args: argparse.Namespace) -> RunReport:
     settings = _settings(args)
-    if args.pairs not in (2, 3):
-        raise UsageError("--pairs must be 2 or 3")
     config = _analyzer_config(settings, args)
-    if config.spectrum is not None:
-        raise UsageError("swap runs are monochromatic; give --omega instead of a pulse")
     state = make_network(args.pairs)
     for photon in range(args.pairs):
         state = feed_photon(state, photon, config)
@@ -438,7 +434,9 @@ def _add_scattering_flags(sub: argparse.ArgumentParser) -> None:
                      help="trion transition frequency (ueV)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args never mutates it."""
     parser = argparse.ArgumentParser(
         prog="ghzsim",
         description="Passive multiphoton GHZ/Bell-state analyzer toolkit")

@@ -6,10 +6,12 @@ photons are fed one at a time into the analyzer; conditioning on the click
 record and the final QD readout projects the remote spins onto a Bell state
 (two pairs) or a GHZ state (three pairs) that the click record predicts.
 
-State layout for m pairs: axes 0..m-1 are the remote spins, axes m..2m-1 the
-photons, axis 2m is QD1 and axis 2m+1 is QD2. Branch amplitudes stay
-unnormalized; detected photon slots stay collapsed on the recorded
-polarization so that summing branch vectors rebuilds the unmeasured state.
+Branch layout for m pairs: the m remote spins, the hub photons not yet
+detected, then QD1 and QD2 (`circuit.HybridState`); a detected photon leaves
+the vector. Branch amplitudes stay unnormalized. `HybridState.amps` rebuilds
+the full layout (spins, all m photons, QDs) with detected photons collapsed on
+their recorded polarization, so summing it over branches gives the unmeasured
+state.
 """
 from __future__ import annotations
 
@@ -17,12 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ops import KET_PLUS, kron_all, norm2
+from ._ops import KET_PLUS, SQRT_HALF, kron_all, norm2
 from .circuit import (CONCLUSIVE_FATES, AnalyzerConfig, HybridState, OutcomeRecord,
                       PhotonFate, _feed, _qd_readouts, classify)
 from .states import GhzLabel, QubitRegister
-
-SQRT_HALF = 1.0 / np.sqrt(2.0)
 
 
 def hybrid_pair_state() -> np.ndarray:
@@ -46,14 +46,6 @@ class NetworkState:
     lost: list
     fed: tuple[bool, ...]
 
-    @property
-    def num_qubits(self) -> int:
-        return 2 * self.num_pairs + 2
-
-    @property
-    def qd_axes(self) -> tuple[int, int]:
-        return (2 * self.num_pairs, 2 * self.num_pairs + 1)
-
     def assembled(self) -> np.ndarray:
         """Sum of live branch vectors: the state before any projection."""
         if not self.branches:
@@ -74,7 +66,7 @@ def make_network(num_pairs: int) -> NetworkState:
     perm = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
     spins_first = np.transpose(t, perm).reshape(-1)
     amps = kron_all(spins_first, KET_PLUS, KET_PLUS)
-    branch = HybridState((PhotonFate.IN_CIRCUIT,) * m, amps)
+    branch = HybridState((PhotonFate.IN_CIRCUIT,) * m, amps, (0,) * m)
     return NetworkState(num_pairs=m, branches=[branch], lost=[], fed=(False,) * m)
 
 
@@ -88,8 +80,7 @@ def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> Net
         raise ValueError("network runs are monochromatic; use a fixed omega")
     refl1, refl2 = config.reflection_pairs()
     lost = list(state.lost)
-    branches = _feed(state.branches, photon, state.num_pairs + photon, state.num_qubits,
-                     state.qd_axes, refl1, refl2, config.eta0, lost)
+    branches = _feed(state.branches, photon, refl1, refl2, config.eta0, lost)
     fed = tuple(done or i == photon for i, done in enumerate(state.fed))
     return NetworkState(state.num_pairs, branches, lost, fed)
 
@@ -111,16 +102,17 @@ class SwapOutcome:
     predicted: GhzLabel | None
 
 
-def _factor_out_unfed_pairs(state: NetworkState, amps: np.ndarray) -> np.ndarray:
+def _factor_out_unfed_pairs(state: NetworkState, vec: np.ndarray) -> np.ndarray:
     """Contract the untouched pairs out of one live branch vector.
 
-    Returns the vector on the fed spins, fed photons and two QDs. Raises if a
+    Returns the vector on the fed spins and the two QDs. Raises if a
     supposedly untouched pair turns out to be entangled with the rest.
     """
     m0 = state.num_pairs
-    t = amps.reshape([2] * state.num_qubits)
-    axes = list(range(state.num_qubits))  # original axis ids still present
-    for i in (i for i, done in enumerate(state.fed) if not done):
+    unfed = [i for i, done in enumerate(state.fed) if not done]
+    axes = list(range(m0)) + [m0 + i for i in unfed] + [2 * m0, 2 * m0 + 1]  # axis ids
+    t = vec.reshape([2] * len(axes))
+    for i in unfed:
         tt = np.moveaxis(t, (axes.index(i), axes.index(m0 + i)), (0, 1))
         rest = (tt[0, 0] + tt[1, 1]) * SQRT_HALF
         recon = np.zeros_like(tt)
@@ -139,7 +131,6 @@ def _swap_outcomes(state: NetworkState, expect_fed: int) -> list[SwapOutcome]:
     if len(fed) != expect_fed:
         raise ValueError(f"swap needs exactly {expect_fed} fed photons, got {len(fed)}")
     m = len(fed)
-    nq = 2 * m + 2  # fed spins + fed photons + two QDs
     aborted: dict = {}  # distinct lost and error branches can share a click record
     for fates, w in state.lost:
         clicks = tuple(fates[i] for i in fed)
@@ -150,12 +141,9 @@ def _swap_outcomes(state: NetworkState, expect_fed: int) -> list[SwapOutcome]:
         if any(c not in CONCLUSIVE_FATES for c in clicks):
             aborted[clicks] = aborted.get(clicks, 0.0) + br.weight
             continue
-        # detected photons sit on their click's bit: D1 = H = 0, D2 = V = 1
-        bits = sum(1 << (m - 1 - j) for j, c in enumerate(clicks) if c is PhotonFate.D2)
-        amps = _factor_out_unfed_pairs(state, br.amps)
-        for qd_pair, rest, w in _qd_readouts(amps, nq, (2 * m, 2 * m + 1)):
-            vec = rest.reshape(2 ** m, 2 ** m)[:, bits]  # axes: spins, photons
-            remote = QubitRegister(m, vec / np.sqrt(norm2(vec)))
+        vec = _factor_out_unfed_pairs(state, br.vec)
+        for qd_pair, rest, w in _qd_readouts(vec):  # rest: the fed spins
+            remote = QubitRegister(m, rest / np.sqrt(w))
             predicted = classify(OutcomeRecord(clicks, qd_pair, w), m)
             outcomes.append(SwapOutcome(clicks, qd_pair, w, remote, predicted))
     outcomes.extend(SwapOutcome(clicks, None, p, None, None)

@@ -169,14 +169,14 @@ def apply_pauli(reg: QubitRegister, qubit: int, axis: str) -> QubitRegister:
     if axis not in _PAULIS:
         raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
     _check_qubit(reg, qubit)
-    amps = apply_single_qubit(reg.amplitudes, reg.num_qubits, qubit, _PAULIS[axis])
+    amps = apply_single_qubit(reg.amplitudes, qubit, _PAULIS[axis])
     return QubitRegister(reg.num_qubits, amps)
 
 
 def apply_hadamard(reg: QubitRegister, qubit: int) -> QubitRegister:
     """|H> -> (|H>+|V>)/sqrt(2), |V> -> (|H>-|V>)/sqrt(2) on one qubit."""
     _check_qubit(reg, qubit)
-    amps = apply_single_qubit(reg.amplitudes, reg.num_qubits, qubit, HADAMARD)
+    amps = apply_single_qubit(reg.amplitudes, qubit, HADAMARD)
     return QubitRegister(reg.num_qubits, amps)
 
 

@@ -3,9 +3,8 @@ import itertools
 import numpy as np
 import pytest
 
-from ghzsim._ops import norm2
-from ghzsim.circuit import (AnalyzerConfig, HybridState, OutcomeRecord,
-                            PhotonFate, _scatter_arm, analyze_bell,
+from ghzsim.circuit import (CONCLUSIVE_FATES, AnalyzerConfig, HybridState,
+                            OutcomeRecord, PhotonFate, _photon_step, analyze_bell,
                             classification_distribution, classify,
                             conclusive_probability)
 from ghzsim.circuit import final_branches as circuit_final_branches
@@ -13,6 +12,7 @@ from ghzsim.circuit import run_analyzer
 from ghzsim.scattering import (CavityQDParams, PulseSpectrum, ReflectionPair,
                                average_efficiency, eta1, reflection_coeffs)
 from ghzsim.states import GhzLabel, QubitRegister, basis_state, bell_state, ghz_state
+from oracles import H, I2, KET_H, KET_MINUS, KET_PLUS, KET_V, SQ2, X, Z, kron_chain, op_on
 
 IDEAL = AnalyzerConfig(mode="ideal")
 STANDARD = CavityQDParams.resonant(g=30.0, kappa=90.0, kappa_s=30.0, gamma=0.3)
@@ -53,37 +53,48 @@ def random_register(n, seed):
     return QubitRegister(n, amps / np.linalg.norm(amps))
 
 
-class TestQndScatter:
-    """One arm component off its QND detector; layout photon, QD1, QD2."""
+def one_photon_step(photon, refl):
+    """`_photon_step` of one photon with amplitudes `photon`, both QDs in |+>."""
+    branch = HybridState.initial(QubitRegister(1, np.array(photon, dtype=complex)))
+    return _photon_step(branch, 0, refl, refl, 1.0)
 
-    QD1, QD2 = 1, 2
+
+class TestQndScatter:
+    """One photon step: the two QND arms, their flips, errors and loss."""
 
     def test_ideal_flip(self):
-        amps = HybridState.initial(basis_state(1, (0,))).amps  # |H>|+>|+>
-        flip, err, lost = _scatter_arm(amps, 3, 0, self.QD2, ReflectionPair.ideal())
-        assert lost == 0.0  # no loss in the ideal case
-        assert norm2(flip) == pytest.approx(1.0, abs=1e-15)
-        assert norm2(err) == pytest.approx(0.0, abs=1e-15)
-        # |V>|+>|->: index V=1 on photon, +=(0+1)/sqrt2 on QD1, -=(0-1)/sqrt2 on QD2
-        expected = np.zeros(8, dtype=complex)
-        expected[0b100] = expected[0b110] = 0.5
-        expected[0b101] = expected[0b111] = -0.5
-        np.testing.assert_allclose(flip, expected, atol=1e-15)
+        # after the first half-wave plate |+> is H (to QND2), |-> is V (to QND1);
+        # the flip toggles only the addressed QD, and D2 = (to_h - to_v)/sqrt2
+        for photon, flipped_qds, d2_sign in (((SQ2, SQ2), (KET_PLUS, KET_MINUS), -1.0),
+                                             ((SQ2, -SQ2), (KET_MINUS, KET_PLUS), 1.0)):
+            children, lost = one_photon_step(photon, ReflectionPair.ideal())
+            assert lost == 0.0  # no loss in the ideal case
+            assert [c.fates for c in children] == [(PhotonFate.D1,), (PhotonFate.D2,)]
+            expected = SQ2 * kron_chain(*flipped_qds)  # the photon has left the vector
+            np.testing.assert_allclose(children[0].vec, expected, atol=1e-15)
+            np.testing.assert_allclose(children[1].vec, d2_sign * expected, atol=1e-15)
+            # rebuilt layout: D1 collapses the photon on H, D2 on V
+            np.testing.assert_allclose(children[0].amps, kron_chain(KET_H, expected),
+                                       atol=1e-15)
+            np.testing.assert_allclose(children[1].amps,
+                                       kron_chain(KET_V, d2_sign * expected), atol=1e-15)
 
     def test_equal_amplitudes_kill_flip_branch(self):
         refl = ReflectionPair(r0=0.6 + 0.0j, r1=0.6 + 0.0j)
-        amps = HybridState.initial(basis_state(1, (1,))).amps
-        flip, err, lost = _scatter_arm(amps, 3, 0, self.QD1, refl)
-        assert norm2(flip) == pytest.approx(0.0, abs=1e-15)
-        assert norm2(err) == pytest.approx(0.36, abs=1e-15)
-        np.testing.assert_allclose(err, 0.6 * amps, atol=1e-15)  # error leaves all unchanged
+        children, lost = one_photon_step(KET_V, refl)
+        assert {c.fates for c in children} == {(PhotonFate.D3,)}  # no D1/D2: no flip
+        assert sum(c.weight for c in children) == pytest.approx(0.36, abs=1e-15)
         assert lost == pytest.approx(0.64, abs=1e-15)
+        # the error leaves photon and QDs as the first half-wave plate made them
+        after_plate = kron_chain(H @ KET_V, KET_PLUS, KET_PLUS)
+        np.testing.assert_allclose(sum(c.amps for c in children), 0.6 * after_plate,
+                                   atol=1e-15)
 
     def test_flip_weight_equals_eta1(self):
         refl = reflection_coeffs(STANDARD, 1.7)
-        amps = HybridState.initial(basis_state(1, (1,))).amps
-        flip = _scatter_arm(amps, 3, 0, self.QD1, refl)[0]
-        assert norm2(flip) == pytest.approx(eta1(STANDARD, 1.7), rel=1e-12)
+        children, _ = one_photon_step(KET_V, refl)
+        flip = sum(c.weight for c in children if c.fates[0] in CONCLUSIVE_FATES)
+        assert flip == pytest.approx(eta1(STANDARD, 1.7), rel=1e-12)
 
 
 class TestIdealRuns:
@@ -159,6 +170,61 @@ class TestBlockSignRule:
                 qd = (KET_PLUS, KET_MINUS) if phase == 0 else (KET_MINUS, KET_PLUS)
             expected = sign * kron_chain(photons, *qd)
             np.testing.assert_allclose(assembled, expected, atol=1e-12)
+
+
+def full_vector_branches(psi, n, refl1, refl2, eta0):
+    """Summed branch vector per fate tuple, from explicit (n+2)-qubit matrices.
+
+    Photons are qubits 0..n-1, QD1 is qubit n and QD2 qubit n+1; detected
+    photons stay in the vector, collapsed on the polarization they left in.
+    """
+    nq = n + 2
+    to_0, to_1 = (I2 + Z) / 2, (I2 - Z) / 2
+    f1, e1 = refl1.flip_amplitude(), refl1.error_amplitude()
+    f2, e2 = refl2.flip_amplitude(), refl2.error_amplitude()
+    z1, z2 = op_on(nq, Z, n), op_on(nq, Z, n + 1)
+    branches = {(): psi}
+    for k in range(n):
+        hwp, flip = op_on(nq, H, k), op_on(nq, X, k)
+        p0, p1 = op_on(nq, to_0, k), op_on(nq, to_1, k)
+        nxt: dict = {}
+        for fates, vec in branches.items():
+            a = hwp @ vec
+            v_arm, h_arm = p1 @ a, p0 @ a
+            out = hwp @ (f1 * z1 @ flip @ v_arm + f2 * z2 @ flip @ h_arm)
+            d1, d2 = p0 @ out, p1 @ out
+            for fate, child in ((PhotonFate.D3, e1 * v_arm + e2 * h_arm),
+                                (PhotonFate.D1, np.sqrt(eta0) * d1),
+                                (PhotonFate.D2, np.sqrt(eta0) * d2),
+                                (PhotonFate.LOST, np.sqrt(1.0 - eta0) * (d1 + d2))):
+                key = fates + (fate,)
+                nxt[key] = nxt.get(key, 0.0) + child
+        branches = nxt
+    return branches
+
+
+class TestFinalBranchesReference:
+    def test_realistic_detuned_lossy_matches_full_vectors(self):
+        # every fate tuple's branches summed, against the full-vector algebra;
+        # D3 via QND1/QND2 and LOST after D1/D2 share fates but not polarization
+        n = 3
+        qnd1 = CavityQDParams(g=30.0, kappa=90.0, kappa_s=30.0, gamma=0.3, omega_x=2.0)
+        qnd2 = CavityQDParams(g=25.0, kappa=200.0, kappa_s=20.0, gamma=0.4, omega_c=-1.0)
+        config = AnalyzerConfig(mode="realistic", qnd1=qnd1, qnd2=qnd2, omega=1.3, eta0=0.9)
+        photons = random_register(n, seed=11)
+        refl1, refl2 = config.reflection_pairs()
+        psi = kron_chain(photons.amplitudes, KET_PLUS, KET_PLUS)
+        expected = full_vector_branches(psi, n, refl1, refl2, config.eta0)
+        got_amps: dict = {}
+        got_weight: dict = {}
+        for br in circuit_final_branches(photons, config):
+            got_amps[br.fates] = got_amps.get(br.fates, 0.0) + br.amps
+            got_weight[br.fates] = got_weight.get(br.fates, 0.0) + br.weight
+        assert set(got_amps) == set(expected)
+        for fates, vec in expected.items():
+            np.testing.assert_allclose(got_amps[fates], vec, rtol=0, atol=1e-12)
+            # same-fate components sit on different photon bits, so they add in norm
+            assert got_weight[fates] == pytest.approx(np.vdot(vec, vec).real, abs=1e-12)
 
 
 class TestRealisticRuns:

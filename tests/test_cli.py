@@ -303,6 +303,16 @@ class TestSwapCommand:
         assert success == pytest.approx(eta1(params, 0.0) ** 3, abs=1e-12)
 
 
+    def test_fig5_profile_ignores_pulse(self, tmp_path):
+        # the profile's [pulse] sigma is for analyze/table1; swap stays on resonance
+        code, text = run_cli(["swap", "--config", "paper_fig5", "--pairs", "2"],
+                             tmp_path, "a.json")
+        assert code == 0
+        _, on_resonance = run_cli(["swap", "--config", "paper_fig5", "--pairs", "2",
+                                   "--omega", "0.0"], tmp_path, "b.json")
+        assert json.loads(text)["outcomes"] == json.loads(on_resonance)["outcomes"]
+        assert "sigma" not in json.loads(text)["metadata"]
+
 class TestReproducibility:
     def test_byte_identical_csv(self, tmp_path):
         args = ["table1", "--config", "paper_fig5"]
@@ -356,6 +366,13 @@ class TestConfigHandling:
         assert code == 2
         assert text == ""
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_no_state_kept_between_calls(self, tmp_path):
+        args = ["analyze", "GHZ:01", "--enumeration", "monte-carlo", "--shots", "10"]
+        _, seeded = run_cli(args + ["--seed", "3"], tmp_path, "a.json")
+        assert json.loads(seeded)["metadata"]["seed"] == 3
+        _, default = run_cli(args, tmp_path, "b.json")
+        assert json.loads(default)["metadata"]["seed"] == 0
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2
