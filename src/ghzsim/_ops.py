@@ -31,12 +31,6 @@ def norm2(state: np.ndarray) -> float:
     return float(np.real(np.vdot(state, state)))
 
 
-def reduced_single_qubit(state: np.ndarray, n: int, qubit: int) -> np.ndarray:
-    """2x2 reduced density matrix of one qubit from an unnormalized pure state."""
-    t = np.moveaxis(state.reshape([2] * n), qubit, 0).reshape(2, -1)
-    return t @ t.conj().T
-
-
 def kron_all(*vectors: np.ndarray) -> np.ndarray:
     out = np.array([1.0], dtype=complex)
     for v in vectors:

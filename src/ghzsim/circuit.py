@@ -13,16 +13,23 @@ Photons are fed one at a time; the per-photon maps commute, so this is
 equivalent to sending all photons through together. Branch amplitudes are
 kept unnormalized so that squared norms are physical probabilities.
 
-Branch layout: a branch vector holds only the qubits still in play, that is
-the photons not yet detected (in photon order) followed by QD1 and QD2. A
-detected photon leaves the vector; its branch keeps its fate and the
-polarization it was left in. The swapping network runs the same photon step
-(`_feed`) with its remote spins as extra leading qubits; the analyzer is that
-layout with no spins. Exhaustive, pulse-averaged and Monte-Carlo runs all
-feed photons through `_feed` and read the QDs out through `_qd_readouts`.
+Branch layout: the live branches of a run are the rows of one `BranchStack`.
+A row is one (quadrature node, branch) pair: a monochromatic run has one
+node, a pulse-averaged run one per Gauss-Hermite node, and each row scatters
+with its own node's amplitudes. A row vector holds only the qubits still in
+play, that is the photons not yet detected (in photon order) followed by QD1
+and QD2; a detected photon leaves the vector, and its row keeps the photon's
+fate and the polarization it was left in. Every row has fed the same
+photons, so all rows have one length. The swapping network runs the same
+photon step with its remote spins as extra leading qubits; the analyzer is
+that layout with no spins. Exhaustive runs keep every child row; a
+Monte-Carlo shot is a one-row stack that keeps one child per photon.
+`HybridState` is a per-branch view, built only for callers that ask for
+branches (`final_branches`, `NetworkState.branches`).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -34,6 +41,10 @@ from .scattering import (MAX_QUAD_NODES, CavityQDParams, PulseSpectrum,
 from .states import GhzLabel, QubitRegister, bell_name
 
 PRUNE_TOL = 1e-15
+
+# largest branch array (rows x vector length x 16 bytes) a run may build; a
+# larger run is refused before it allocates, not left to the OOM killer
+MAX_STEP_BYTES = 2 ** 30
 
 INCONCLUSIVE = "inconclusive"
 
@@ -47,6 +58,12 @@ class PhotonFate(Enum):
 
 
 CONCLUSIVE_FATES = (PhotonFate.D1, PhotonFate.D2)
+
+# fate codes of the stacked arrays, in the order of the fates' values, so that
+# sorting packed codes sorts records by (fate values, QD pair)
+_FATES = (PhotonFate.D1, PhotonFate.D2, PhotonFate.D3, PhotonFate.IN_CIRCUIT,
+          PhotonFate.LOST)
+_D1, _D2, _D3, _IN, _LOST = range(5)
 
 
 @dataclass(frozen=True)
@@ -90,8 +107,9 @@ class AnalyzerConfig:
             raise ValueError(f"quad_nodes must lie in 2..{MAX_QUAD_NODES}, "
                              f"got {self.quad_nodes}")
 
-    def reflection_pairs(self, omega: float | None = None) -> tuple[ReflectionPair, ReflectionPair]:
-        """Reflection amplitudes of the two detectors at the given frequency."""
+    def reflection_pairs(self, omega: float | np.ndarray | None = None
+                         ) -> tuple[ReflectionPair, ReflectionPair]:
+        """Reflection amplitudes of the two detectors at the given frequency (or array)."""
         if self.mode == "ideal":
             return ReflectionPair.ideal(), ReflectionPair.ideal()
         if omega is None:
@@ -102,7 +120,7 @@ class AnalyzerConfig:
 
 @dataclass(eq=False)
 class HybridState:
-    """One live, unnormalized branch of the joint photon/QD state.
+    """One live, unnormalized branch: a view of one row of a `BranchStack`.
 
     `vec` holds only the qubits still in play: spectator spins, the photons
     still IN_CIRCUIT (in photon order), then QD1 and QD2. `fates` has one
@@ -120,12 +138,6 @@ class HybridState:
     def __post_init__(self):
         self.weight = norm2(self.vec)
 
-    @classmethod
-    def initial(cls, photons: QubitRegister) -> "HybridState":
-        n = photons.num_qubits
-        vec = kron_all(photons.amplitudes, KET_PLUS, KET_PLUS)
-        return cls((PhotonFate.IN_CIRCUIT,) * n, vec, (0,) * n)
-
     @property
     def amps(self) -> np.ndarray:
         """Full-layout vector: spins, every photon, QD1, QD2."""
@@ -138,10 +150,181 @@ class HybridState:
                 t = np.concatenate((zero, t) if self.pols[k] else (t, zero), axis=1)
         return t.reshape(-1)
 
-    def child(self, photon: int, fate: PhotonFate, pol: int, vec: np.ndarray) -> "HybridState":
-        """This branch after `photon` left it with `fate` and polarization `pol`."""
-        return HybridState(_with_fate(self.fates, photon, fate),
-                           vec.reshape(-1), _with_fate(self.pols, photon, pol))
+
+@dataclass(eq=False)
+class BranchStack:
+    """The live branches of a run, one per row.
+
+    amps   : (R, dim) unnormalized row vectors (spins, photons still IN_CIRCUIT, QD1, QD2)
+    fates  : (R, n) int8 fate code (index into `_FATES`) of every photon
+    pols   : (R, n) int8 polarization bit each detected photon was left in
+    node   : (R,) quadrature node of the row; 0 in monochromatic runs
+    weight : (R,) squared norm of each row
+    """
+
+    amps: np.ndarray
+    fates: np.ndarray
+    pols: np.ndarray
+    node: np.ndarray
+    weight: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.node)
+
+    def views(self) -> list[HybridState]:
+        return [HybridState(tuple(_FATES[c] for c in fates), vec, tuple(pols))
+                for vec, fates, pols in zip(self.amps, self.fates.tolist(),
+                                            self.pols.tolist())]
+
+
+def _check_budget(rows: int, dim: int, n: int, nodes: int) -> None:
+    need = rows * dim * 16
+    if need > MAX_STEP_BYTES:
+        raise ValueError(
+            f"{n} photons with {nodes} quadrature node(s) need a {need}-byte branch "
+            f"array, over the {MAX_STEP_BYTES}-byte budget; runs this large need the "
+            f"conclusive-only mode of ROADMAP.md item 3")
+
+
+def _initial_stack(vec: np.ndarray, n: int, nodes: int) -> BranchStack:
+    """One row of `vec` (spins, n photons, QD1, QD2) per quadrature node."""
+    _check_budget(nodes, vec.size, n, nodes)
+    return BranchStack(np.tile(vec, (nodes, 1)), np.full((nodes, n), _IN, np.int8),
+                       np.zeros((nodes, n), np.int8), np.arange(nodes),
+                       np.full(nodes, norm2(vec)))
+
+
+def _units(refl1: ReflectionPair, refl2: ReflectionPair):
+    """Per-node scattering factors of both detector units, as the photon step uses them.
+
+    Returns (f / 2, e / sqrt2, loss probability / 2), the first two of shape
+    (2, K, 1, 1, 1) and the last (2, K), for flip amplitude f and error
+    amplitude e of QND1 (index 0) and QND2 at each of K quadrature nodes; the
+    halves and 1/sqrt2 are the beam splitter and half-wave plate factors.
+    e is None when it is 0 everywhere (ideal units): no D3 child exists.
+    """
+    f = np.array([np.atleast_1d(r.flip_amplitude()) for r in (refl1, refl2)], dtype=complex)
+    e = np.array([np.atleast_1d(r.error_amplitude()) for r in (refl1, refl2)], dtype=complex)
+    loss = np.maximum(0.0, 1.0 - np.abs(f) ** 2 - np.abs(e) ** 2)
+    errors = e[..., None, None, None] * SQRT_HALF if e.any() else None
+    return f[..., None, None, None] / 2.0, errors, loss / 2.0
+
+
+def _mass(x: np.ndarray, lead: int = 1) -> np.ndarray:
+    """Squared norm over all but the `lead` leading axes of a contiguous array."""
+    flat = x.reshape(x.shape[:lead] + (math.prod(x.shape[lead:]),)).view(np.float64)
+    return np.vecdot(flat, flat)
+
+
+# base-5 digit of each fate code in a packed record key; a photon still
+# IN_CIRCUIT when its run ended counts as LOST
+_KEY_DIGITS = np.array([_D1, _D2, _D3, _LOST, _LOST], np.int64)
+
+
+def _pack(fates: np.ndarray) -> np.ndarray:
+    """Base-5 record key of each row of fates, photon 0 first; the last digit is the QD pair's."""
+    return _KEY_DIGITS[fates] @ 5 ** np.arange(fates.shape[1], 0, -1)
+
+
+# sign of a +/- flip of QD1 (row 0) or QD2 (row 1) on the trailing (QD1, QD2) axis of 4
+_QD_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, None, None, None]
+
+# fate and polarization of each block of children, by (error amplitude present,
+# detector loss present); without an error amplitude (ideal units) no D3 child exists
+_BLOCKS = {(errors, lossy): (np.array(([_D3, _D3] if errors else [])
+                                      + ([_D1, _LOST, _D2, _LOST] if lossy else [_D1, _D2]),
+                                      np.int8),
+                             np.array(([1, 0] if errors else [])
+                                      + ([0, 0, 1, 1] if lossy else [0, 1]), np.int8))
+           for errors in (False, True) for lossy in (False, True)}
+
+
+def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
+                 lost: list) -> BranchStack:
+    """One full analyzer pass of one photon in every row; returns the child rows.
+
+    `units` holds the scattering factors of both detector units per
+    quadrature node (`_units`); a row scatters with its node's factors. The
+    photon leaves every child's vector. Children come in blocks: D3 via QND1,
+    D3 via QND2, D1[, LOST on a failed click], D2[, LOST]. A row's scattering
+    loss, its D3 children and whole clicks at or below PRUNE_TOL go to the
+    row's loss record; a kept click's D1 or LOST child at or below PRUNE_TOL
+    gets a record of its own. Records are appended to `lost` as (fates,
+    weights, nodes) arrays. The run ends there and nothing more is tracked,
+    so photons still IN_CIRCUIT in a loss record count as LOST (`_pack`).
+    """
+    rows = len(stack)
+    if not rows:
+        return stack
+    fates0 = stack.fates[0].tolist()  # every row has fed the same photons
+    right = 2 ** fates0[photon + 1:].count(_IN)
+    t = stack.amps.reshape(rows, -1, 2, right, 4)  # (row, left, photon, right, QD pair)
+    f, e, loss = units
+    nodes = loss.shape[1]
+    errors = e is not None
+    if nodes > 1:  # every row scatters with its own node's factors
+        f, loss = f[:, stack.node], loss[:, stack.node]
+        e = e[:, stack.node] if errors else None
+    lossy = eta0 < 1.0
+    codes, pols = _BLOCKS[errors, lossy]
+    d3 = 2 if errors else 0  # number of D3 blocks
+    _check_budget(len(codes) * rows, t[0, :, 0].size, len(fates0), nodes)
+    kids = np.empty((len(codes), rows) + t.shape[1:2] + t.shape[3:], dtype=complex)
+    # half-wave plate, then the PBS sends V to QND1 and H to QND2 (arms times sqrt2)
+    arms = np.empty((2,) + kids.shape[1:], dtype=complex)
+    np.subtract(t[:, :, 0], t[:, :, 1], out=arms[0])
+    np.add(t[:, :, 0], t[:, :, 1], out=arms[1])
+    if errors:  # the unflipped error part exits to D3
+        np.multiply(e, arms, out=kids[:2])
+    lost_w = np.vecdot(loss.T, _mass(arms, 2).T)  # side leakage
+    # a reflection flips the photon and toggles the addressed QD in the +/- basis
+    flipped = f * arms
+    flipped *= _QD_SIGNS
+    del arms
+    # recombination, second half-wave plate, final PBS: D1 = H, D2 = V
+    clicks = kids[d3::2] if lossy else kids[d3:]
+    np.add(flipped[0], flipped[1], out=clicks[0])
+    np.subtract(flipped[0], flipped[1], out=clicks[1])
+    del flipped
+    if lossy:  # a failed click leaves the photon LOST
+        np.multiply(clicks, math.sqrt(1.0 - eta0), out=kids[d3 + 1::2])
+        clicks *= math.sqrt(eta0)
+    weight = _mass(kids, 2)  # (block, row)
+    keep = weight > PRUNE_TOL
+    kept = np.count_nonzero(keep)
+    pruned = []
+    if kept < keep.size:
+        # D3 children and whole clicks at or below PRUNE_TOL join the row's loss;
+        # a kept click's D1 or LOST child at or below it is booked as it is
+        whole = ~keep
+        if lossy:
+            clicked = (weight[d3::2] + weight[d3 + 1::2] > PRUNE_TOL).repeat(2, axis=0)
+            whole[d3:] = ~clicked
+            dropped = clicked & ~keep[d3:] & (weight[d3:] > 0.0)
+            pruned = [(dropped[k], codes[d3 + k], weight[d3 + k]) for k in range(4)
+                      if dropped[k].any()]
+        lost_w += np.where(whole, weight, 0.0).sum(axis=0)
+    # a loss record keeps the row's fates: photons still IN_CIRCUIT count as LOST
+    ended = np.count_nonzero(lost_w)
+    if ended == rows:
+        lost.append((stack.fates, lost_w, stack.node))
+    elif ended:
+        mask = lost_w > 0.0
+        lost.append((stack.fates[mask], lost_w[mask], stack.node[mask]))
+    for mask, code, w in pruned:
+        fates = stack.fates[mask]
+        fates[:, photon] = code
+        lost.append((fates, w[mask], stack.node[mask]))
+
+    picked = np.flatnonzero(keep)
+    flat = kids.reshape(keep.size, -1)
+    amps = flat if kept == keep.size else flat[picked]
+    block, parent = np.divmod(picked, rows)
+    fates = stack.fates[parent]
+    fates[:, photon] = codes[block]
+    child_pols = stack.pols[parent]
+    child_pols[:, photon] = pols[block]
+    return BranchStack(amps, fates, child_pols, stack.node[parent], weight.ravel()[picked])
 
 
 @dataclass(frozen=True)
@@ -167,118 +350,45 @@ class OutcomeRecord:
         return "".join("H" if f is PhotonFate.D1 else "V" for f in self.fates)
 
 
-def _with_fate(items: tuple, photon: int, value) -> tuple:
-    out = list(items)
-    out[photon] = value
-    return tuple(out)
-
-
-def _lost_fates(fates: tuple[PhotonFate, ...]):
-    return tuple(PhotonFate.LOST if f is PhotonFate.IN_CIRCUIT else f for f in fates)
-
-
-# sign of a +/- flip of QD1 or QD2 on the trailing (QD1, QD2) axis of 4
-_QD_SIGNS = (np.array([1.0, 1.0, -1.0, -1.0]), np.array([1.0, -1.0, 1.0, -1.0]))
-
-
-def _photon_step(br: HybridState, photon: int, refl1: ReflectionPair,
-                 refl2: ReflectionPair, eta0: float):
-    """One full analyzer pass of one photon in one branch.
-
-    Returns (children, lost weight). The photon leaves every child's vector:
-    it ends at D3 via QND1, D3 via QND2, D1 (then LOST on a failed click) or
-    D2 (then LOST), in that order.
-    """
-    right = 2 ** sum(f is PhotonFate.IN_CIRCUIT for f in br.fates[photon + 1:])
-    t = br.vec.reshape(-1, 2, right, 4)  # (left, photon, right, QD pair)
-    # half-wave plate, then the PBS sends V to QND1 and H to QND2
-    v_arm = (t[:, 0] - t[:, 1]) * SQRT_HALF
-    h_arm = (t[:, 0] + t[:, 1]) * SQRT_HALF
-    out = []
-    lost = 0.0
-    for arm, refl, pol in ((v_arm, refl1, 1), (h_arm, refl2, 0)):
-        f, e = refl.flip_amplitude(), refl.error_amplitude()
-        lost += max(0.0, 1.0 - abs(f) ** 2 - abs(e) ** 2) * norm2(arm)
-        errored = br.child(photon, PhotonFate.D3, pol, e * arm)
-        if errored.weight > PRUNE_TOL:
-            out.append(errored)
-    # a reflection flips the photon and toggles the addressed QD in the +/- basis
-    to_h = refl1.flip_amplitude() * v_arm * _QD_SIGNS[0]
-    to_v = refl2.flip_amplitude() * h_arm * _QD_SIGNS[1]
-    # recombination, second half-wave plate, final PBS
-    for fate, pol, click in ((PhotonFate.D1, 0, (to_h + to_v) * SQRT_HALF),
-                             (PhotonFate.D2, 1, (to_h - to_v) * SQRT_HALF)):
-        w = norm2(click)
-        if w <= PRUNE_TOL:
-            lost += w
-        elif eta0 < 1.0:
-            out.append(br.child(photon, fate, pol, np.sqrt(eta0) * click))
-            out.append(br.child(photon, PhotonFate.LOST, pol, np.sqrt(1.0 - eta0) * click))
-        else:
-            out.append(br.child(photon, fate, pol, click))
-    return out, lost
-
-
 QD_PAIRS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
 _QD_PAIR_KETS = np.array([np.kron(k1, k2)
                           for k1 in (KET_PLUS, KET_MINUS)
                           for k2 in (KET_PLUS, KET_MINUS)])
 
 
-def _qd_readouts(vec: np.ndarray):
-    """Read the two trailing QDs out in the +/- basis; yields (pair, rest, weight).
+def _qd_readouts(amps: np.ndarray):
+    """Read the two trailing QDs of every row out in the +/- basis.
 
-    `rest` is <pair|vec> on the other qubits, unnormalized.
+    Returns (comps, weights): comps[i, :, j] is <pair j|row i> on the other
+    qubits, unnormalized, and weights[i, j] its squared norm.
     """
-    comps = vec.reshape(-1, 4) @ _QD_PAIR_KETS.T  # kets are real
-    for j, pair in enumerate(QD_PAIRS):
-        rest = comps[:, j]
-        w = norm2(rest)
-        if w > PRUNE_TOL:
-            yield pair, rest, w
+    rows = len(amps)
+    comps = amps.reshape(rows, amps.shape[1] // 4, 4) @ _QD_PAIR_KETS.T
+    flat = comps.view(np.float64).reshape(comps.shape + (2,))  # kets are real
+    return comps, np.einsum("rkjc,rkjc->rj", flat, flat)
 
 
-def _fate_sort_key(record: OutcomeRecord):
-    return (tuple(f.value for f in record.fates), record.qd_readout or ())
+def _records(keys: np.ndarray, probs: np.ndarray, n: int) -> list[OutcomeRecord]:
+    """Sum probabilities per packed key; records come sorted by (fate values, QD pair)."""
+    unique, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse, weights=probs, minlength=len(unique))
+    digits = unique[:, None] // 5 ** np.arange(n, -1, -1) % 5  # photons, then QD code
+    return [OutcomeRecord(tuple(_FATES[c] for c in row[:-1]),
+                          QD_PAIRS[row[-1] - 1] if row[-1] else None, p)
+            for row, p in zip(digits.tolist(), sums.tolist()) if p > 0.0]
 
 
-def _aggregate(raw: list[OutcomeRecord]) -> list[OutcomeRecord]:
-    acc: dict = {}
-    for r in raw:
-        key = (r.fates, r.qd_readout)
-        acc[key] = acc.get(key, 0.0) + r.probability
-    records = [OutcomeRecord(f, qd, p) for (f, qd), p in acc.items() if p > 0.0]
-    return sorted(records, key=_fate_sort_key)
+def _input_stack(photons: QubitRegister, nodes: int) -> BranchStack:
+    vec = kron_all(photons.amplitudes, KET_PLUS, KET_PLUS)
+    return _initial_stack(vec, photons.num_qubits, nodes)
 
 
-def _feed(branches: list[HybridState], photon: int, refl1: ReflectionPair,
-          refl2: ReflectionPair, eta0: float, lost: list) -> list[HybridState]:
-    """Send one photon through the analyzer in every branch; returns the live ones.
-
-    Scattering loss and branches pruned at or below PRUNE_TOL are appended to
-    `lost` as (fates, weight) in the order they happen, with every photon not
-    yet detected marked LOST: the run ends there and nothing more is tracked.
-    """
-    out = []
-    for br in branches:
-        stepped, lost_w = _photon_step(br, photon, refl1, refl2, eta0)
-        if lost_w > 0.0:
-            lost.append((_lost_fates(_with_fate(br.fates, photon, PhotonFate.LOST)), lost_w))
-        for nb in stepped:
-            if nb.weight > PRUNE_TOL:
-                out.append(nb)
-            elif nb.weight > 0.0:
-                lost.append((_lost_fates(nb.fates), nb.weight))
-    return out
-
-
-def _evolve_branches(photons: QubitRegister, refl1, refl2, eta0, order):
-    """All photons through the pipeline; returns (live branches, loss records)."""
-    lost: list = []
-    branches = [HybridState.initial(photons)]
+def _evolve(photons: QubitRegister, units, eta0: float, order, lost: list) -> BranchStack:
+    """All photons through the pipeline, one row per quadrature node to start."""
+    stack = _input_stack(photons, units[2].shape[1])
     for k in order:
-        branches = _feed(branches, k, refl1, refl2, eta0, lost)
-    return branches, [OutcomeRecord(fates, None, w) for fates, w in lost]
+        stack = _photon_step(stack, k, units, eta0, lost)
+    return stack
 
 
 def final_branches(photons: QubitRegister, config: AnalyzerConfig,
@@ -298,29 +408,29 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
     if config.spectrum is not None and config.mode == "realistic":
         raise ValueError("final_branches needs a monochromatic configuration")
     order = list(range(n)) if order is None else list(order)
-    refl1, refl2 = config.reflection_pairs()
-    branches, _ = _evolve_branches(photons, refl1, refl2, config.eta0, order)
-    return branches
+    units = _units(*config.reflection_pairs())
+    return _evolve(photons, units, config.eta0, order, []).views()
 
 
 def _run_exhaustive(photons: QubitRegister, config: AnalyzerConfig, order):
-    """Exact records, averaged over the pulse's quadrature nodes if it has one."""
+    """Exact records; a pulse's quadrature nodes run together as rows."""
     if config.spectrum is not None and config.mode == "realistic":
         x, w = _hermite_nodes(config.quad_nodes)
         omegas = config.spectrum.omega_c + config.spectrum.sigma * x
-        runs = [(config.reflection_pairs(om), wi / np.sqrt(np.pi))
-                for om, wi in zip(omegas, w)]
+        units = _units(*config.reflection_pairs(omegas))
+        node_weight = w / np.sqrt(np.pi)
     else:
-        runs = [(config.reflection_pairs(), 1.0)]
-    raw: list[OutcomeRecord] = []
-    for (refl1, refl2), scale in runs:
-        branches, records = _evolve_branches(photons, refl1, refl2, config.eta0, order)
-        for br in branches:
-            for pair, _, w in _qd_readouts(br.vec):
-                records.append(OutcomeRecord(br.fates, pair, w))
-        raw.extend(OutcomeRecord(r.fates, r.qd_readout, scale * r.probability)
-                   for r in records)
-    return raw
+        units = _units(*config.reflection_pairs())
+        node_weight = np.ones(1)
+    lost: list = []
+    stack = _evolve(photons, units, config.eta0, order, lost)
+    _, weights = _qd_readouts(stack.amps)
+    row, pair = np.nonzero(weights > PRUNE_TOL)
+    keys = [_pack(fates) for fates, _, _ in lost]
+    keys.append(_pack(stack.fates)[row] + 1 + pair)
+    probs = [w * node_weight[node] for _, w, node in lost]
+    probs.append(weights[row, pair] * node_weight[stack.node[row]])
+    return _records(np.concatenate(keys), np.concatenate(probs), photons.num_qubits)
 
 
 def _sample_omega(rng, spectrum: PulseSpectrum) -> float:
@@ -334,31 +444,41 @@ def _pick(rng, weights) -> int:
 
 
 def _run_monte_carlo(photons: QubitRegister, config: AnalyzerConfig, shots, order):
-    """One trajectory per shot: a normalized branch, a weighted pick per photon."""
+    """One trajectory per shot: a normalized one-row stack, a weighted pick per photon."""
     rng = np.random.default_rng(config.seed)
-    counts: dict = {}
-    init = HybridState.initial(photons)
-    fixed_pairs = config.reflection_pairs() if config.spectrum is None else None
+    counts: dict = {}  # (fates, QD code) -> shots
+    fixed = _units(*config.reflection_pairs()) if config.spectrum is None else None
+    init = _input_stack(photons, 1)
+    normalized = np.ones(1)
     for _ in range(shots):
-        if fixed_pairs is None:
-            refl1, refl2 = config.reflection_pairs(_sample_omega(rng, config.spectrum))
+        if fixed is None:
+            units = _units(*config.reflection_pairs(_sample_omega(rng, config.spectrum)))
         else:
-            refl1, refl2 = fixed_pairs
-        br = init
+            units = fixed
+        stack = init
         for k in order:
             lost: list = []
-            live = _feed([br], k, refl1, refl2, config.eta0, lost)
-            pick = _pick(rng, [b.weight for b in live] + [w for _, w in lost])
-            if pick >= len(live):  # loss terminates the shot
-                key = (lost[pick - len(live)][0], None)
+            stack = _photon_step(stack, k, units, config.eta0, lost)
+            live = len(stack)
+            # a one-row step books at most one record per loss entry
+            weights = stack.weight.tolist() + [w[0] for _, w, _ in lost]
+            pick = _pick(rng, weights)
+            if pick >= live:  # loss terminates the shot
+                key = (tuple(_KEY_DIGITS[lost[pick - live][0][0]].tolist()), 0)
                 break
-            br = live[pick]
-            br = HybridState(br.fates, br.vec / np.sqrt(br.weight), br.pols)
+            stack = BranchStack(stack.amps[pick:pick + 1] / math.sqrt(weights[pick]),
+                                stack.fates[pick:pick + 1], stack.pols[pick:pick + 1],
+                                stack.node[:1], normalized)
         else:
-            readouts = list(_qd_readouts(br.vec))
-            key = (br.fates, readouts[_pick(rng, [w for _, _, w in readouts])][0])
+            weights = _qd_readouts(stack.amps)[1][0].tolist()
+            pairs = [j for j, w in enumerate(weights) if w > PRUNE_TOL]
+            pair = pairs[_pick(rng, [weights[j] for j in pairs])]
+            key = (tuple(stack.fates[0].tolist()), 1 + pair)
         counts[key] = counts.get(key, 0) + 1
-    return [OutcomeRecord(f, qd, c / shots) for (f, qd), c in counts.items()]
+    fates = np.array([f for f, _ in counts], dtype=np.int8)
+    keys = _pack(fates) + np.array([qd for _, qd in counts])
+    probs = np.fromiter(counts.values(), dtype=float, count=len(counts)) / shots
+    return _records(keys, probs, photons.num_qubits)
 
 
 def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
@@ -367,7 +487,8 @@ def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
 
     Exhaustive enumeration returns every branch with its exact probability;
     monte-carlo returns observed frequencies over `shots` samples. `order`
-    optionally permutes the feeding sequence of the photons.
+    optionally permutes the feeding sequence of the photons. Records come
+    sorted by (fate values, QD pair).
     """
     n = photons.num_qubits
     if n < 2:
@@ -380,8 +501,8 @@ def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
     if config.enumeration == "monte-carlo":
         if shots < 1:
             raise ValueError("shots must be >= 1")
-        return _aggregate(_run_monte_carlo(photons, config, shots, order))
-    return _aggregate(_run_exhaustive(photons, config, order))
+        return _run_monte_carlo(photons, config, shots, order)
+    return _run_exhaustive(photons, config, order)
 
 
 def classify(record: OutcomeRecord, n: int):

@@ -7,10 +7,11 @@ record and the final QD readout projects the remote spins onto a Bell state
 (two pairs) or a GHZ state (three pairs) that the click record predicts.
 
 Branch layout for m pairs: the m remote spins, the hub photons not yet
-detected, then QD1 and QD2 (`circuit.HybridState`); a detected photon leaves
-the vector. Branch amplitudes stay unnormalized. `HybridState.amps` rebuilds
-the full layout (spins, all m photons, QDs) with detected photons collapsed on
-their recorded polarization, so summing it over branches gives the unmeasured
+detected, then QD1 and QD2, one branch per row of a `circuit.BranchStack`; a
+detected photon leaves the rows. Branch amplitudes stay unnormalized.
+`NetworkState.branches` builds per-branch views whose `amps` rebuild the full
+layout (spins, all m photons, QDs) with detected photons collapsed on their
+recorded polarization, so summing it over branches gives the unmeasured
 state.
 """
 from __future__ import annotations
@@ -19,9 +20,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ops import KET_PLUS, SQRT_HALF, kron_all, norm2
-from .circuit import (CONCLUSIVE_FATES, AnalyzerConfig, HybridState, OutcomeRecord,
-                      PhotonFate, _feed, _qd_readouts, classify)
+from ._ops import KET_PLUS, SQRT_HALF, kron_all
+from .circuit import (_D2, _FATES, PRUNE_TOL, QD_PAIRS, AnalyzerConfig, BranchStack,
+                      HybridState, OutcomeRecord, _initial_stack, _mass, _pack,
+                      _photon_step, _qd_readouts, _records, _units, classify)
 from .states import GhzLabel, QubitRegister
 
 
@@ -36,22 +38,28 @@ def hybrid_pair_state() -> np.ndarray:
 class NetworkState:
     """Live branches of the hub-plus-remote-spins system and the mass lost so far.
 
-    `branches` are `HybridState`s whose fates cover the m photons (IN_CIRCUIT
-    until fed); `lost` holds (fates, weight) of every run that ended in loss
-    or pruning; `fed` marks the photons sent through the analyzer.
+    `stack` holds the live branches, one per row, with fates over the m
+    photons (IN_CIRCUIT until fed); `lost` holds the (fates, weights, nodes)
+    arrays of every run that ended in loss or pruning (`circuit._photon_step`);
+    `fed` marks the photons sent through the analyzer.
     """
 
     num_pairs: int
-    branches: list[HybridState]
+    stack: BranchStack
     lost: list
     fed: tuple[bool, ...]
 
+    @property
+    def branches(self) -> list[HybridState]:
+        return self.stack.views()
+
     def assembled(self) -> np.ndarray:
         """Sum of live branch vectors: the state before any projection."""
-        if not self.branches:
+        branches = self.branches
+        if not branches:
             raise ValueError("no live branches to assemble")
-        out = self.branches[0].amps.copy()
-        for br in self.branches[1:]:
+        out = branches[0].amps.copy()
+        for br in branches[1:]:
             out += br.amps
         return out
 
@@ -66,8 +74,8 @@ def make_network(num_pairs: int) -> NetworkState:
     perm = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
     spins_first = np.transpose(t, perm).reshape(-1)
     amps = kron_all(spins_first, KET_PLUS, KET_PLUS)
-    branch = HybridState((PhotonFate.IN_CIRCUIT,) * m, amps, (0,) * m)
-    return NetworkState(num_pairs=m, branches=[branch], lost=[], fed=(False,) * m)
+    return NetworkState(num_pairs=m, stack=_initial_stack(amps, m, 1), lost=[],
+                        fed=(False,) * m)
 
 
 def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> NetworkState:
@@ -78,11 +86,11 @@ def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> Net
         raise ValueError(f"photon {photon} was already fed")
     if config.spectrum is not None:
         raise ValueError("network runs are monochromatic; use a fixed omega")
-    refl1, refl2 = config.reflection_pairs()
     lost = list(state.lost)
-    branches = _feed(state.branches, photon, refl1, refl2, config.eta0, lost)
+    stack = _photon_step(state.stack, photon, _units(*config.reflection_pairs()),
+                         config.eta0, lost)
     fed = tuple(done or i == photon for i, done in enumerate(state.fed))
-    return NetworkState(state.num_pairs, branches, lost, fed)
+    return NetworkState(state.num_pairs, stack, lost, fed)
 
 
 @dataclass(frozen=True)
@@ -102,28 +110,29 @@ class SwapOutcome:
     predicted: GhzLabel | None
 
 
-def _factor_out_unfed_pairs(state: NetworkState, vec: np.ndarray) -> np.ndarray:
-    """Contract the untouched pairs out of one live branch vector.
+def _factor_out_unfed_pairs(state: NetworkState, amps: np.ndarray) -> np.ndarray:
+    """Contract the untouched pairs out of every live row.
 
-    Returns the vector on the fed spins and the two QDs. Raises if a
+    Returns the rows on the fed spins and the two QDs. Raises if a
     supposedly untouched pair turns out to be entangled with the rest.
     """
     m0 = state.num_pairs
     unfed = [i for i, done in enumerate(state.fed) if not done]
     axes = list(range(m0)) + [m0 + i for i in unfed] + [2 * m0, 2 * m0 + 1]  # axis ids
-    t = vec.reshape([2] * len(axes))
+    rows = len(amps)
+    t = amps.reshape([rows] + [2] * len(axes))
     for i in unfed:
-        tt = np.moveaxis(t, (axes.index(i), axes.index(m0 + i)), (0, 1))
-        rest = (tt[0, 0] + tt[1, 1]) * SQRT_HALF
+        tt = np.moveaxis(t, (1 + axes.index(i), 1 + axes.index(m0 + i)), (1, 2))
+        rest = (tt[:, 0, 0] + tt[:, 1, 1]) * SQRT_HALF
         recon = np.zeros_like(tt)
-        recon[0, 0] = rest * SQRT_HALF
-        recon[1, 1] = rest * SQRT_HALF
-        if norm2(tt - recon) > 1e-12 * max(1.0, norm2(t)):
+        recon[:, 0, 0] = rest * SQRT_HALF
+        recon[:, 1, 1] = rest * SQRT_HALF
+        if np.any(_mass(tt - recon) > 1e-12 * np.maximum(1.0, _mass(t))):
             raise ValueError(f"pair {i} is no longer a product factor")
         t = rest
         axes.remove(i)
         axes.remove(m0 + i)
-    return t.reshape(-1)
+    return t.reshape(rows, 2 ** (t.ndim - 1))
 
 
 def _swap_outcomes(state: NetworkState, expect_fed: int) -> list[SwapOutcome]:
@@ -131,23 +140,23 @@ def _swap_outcomes(state: NetworkState, expect_fed: int) -> list[SwapOutcome]:
     if len(fed) != expect_fed:
         raise ValueError(f"swap needs exactly {expect_fed} fed photons, got {len(fed)}")
     m = len(fed)
-    aborted: dict = {}  # distinct lost and error branches can share a click record
-    for fates, w in state.lost:
-        clicks = tuple(fates[i] for i in fed)
-        aborted[clicks] = aborted.get(clicks, 0.0) + w
-    outcomes: list[SwapOutcome] = []
-    for br in state.branches:
-        clicks = tuple(br.fates[i] for i in fed)
-        if any(c not in CONCLUSIVE_FATES for c in clicks):
-            aborted[clicks] = aborted.get(clicks, 0.0) + br.weight
-            continue
-        vec = _factor_out_unfed_pairs(state, br.vec)
-        for qd_pair, rest, w in _qd_readouts(vec):  # rest: the fed spins
-            remote = QubitRegister(m, rest / np.sqrt(w))
-            predicted = classify(OutcomeRecord(clicks, qd_pair, w), m)
-            outcomes.append(SwapOutcome(clicks, qd_pair, w, remote, predicted))
-    outcomes.extend(SwapOutcome(clicks, None, p, None, None)
-                    for clicks, p in aborted.items())
+    stack = state.stack
+    clicks = stack.fates[:, fed]
+    conclusive = np.all(clicks <= _D2, axis=1)
+    # distinct lost and error branches can share a click record
+    aborted = [(f[:, fed], w) for f, w, _ in state.lost]
+    aborted.append((clicks[~conclusive], stack.weight[~conclusive]))
+    outcomes = [SwapOutcome(r.fates, None, r.probability, None, None)
+                for r in _records(np.concatenate([_pack(f) for f, _ in aborted]),
+                                  np.concatenate([w for _, w in aborted]), m)]
+    comps, weights = _qd_readouts(_factor_out_unfed_pairs(state, stack.amps[conclusive]))
+    heralded = clicks[conclusive].tolist()
+    for row, j in zip(*np.nonzero(weights > PRUNE_TOL)):  # comps: the fed spins
+        w = float(weights[row, j])
+        click = tuple(_FATES[c] for c in heralded[row])
+        remote = QubitRegister(m, comps[row, :, j] / np.sqrt(w))
+        predicted = classify(OutcomeRecord(click, QD_PAIRS[j], w), m)
+        outcomes.append(SwapOutcome(click, QD_PAIRS[j], w, remote, predicted))
     return sorted(outcomes, key=lambda o: (tuple(c.value for c in o.clicks),
                                            o.qd_readout or ()))
 

@@ -35,6 +35,12 @@ def op_on(n: int, single: np.ndarray, qubit: int) -> np.ndarray:
     return kron_chain(*[single if j == qubit else I2 for j in range(n)])
 
 
+def reduced_single_qubit(state: np.ndarray, n: int, qubit: int) -> np.ndarray:
+    """2x2 reduced density matrix of one qubit from an unnormalized pure state."""
+    t = np.moveaxis(state.reshape([2] * n), qubit, 0).reshape(2, -1)
+    return t @ t.conj().T
+
+
 def stabilizer_matrices(n: int) -> list[np.ndarray]:
     """S_1 = X...X, S_k = Z_{k-1} Z_k as explicit matrices."""
     mats = [kron_chain(*([X] * n))]

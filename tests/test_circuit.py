@@ -1,12 +1,14 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from ghzsim.circuit import (CONCLUSIVE_FATES, AnalyzerConfig, HybridState,
-                            OutcomeRecord, PhotonFate, _photon_step, analyze_bell,
-                            classification_distribution, classify,
+from ghzsim.circuit import (CONCLUSIVE_FATES, AnalyzerConfig, OutcomeRecord,
+                            PhotonFate, _input_stack, _photon_step, _units,
+                            analyze_bell, classification_distribution, classify,
                             conclusive_probability)
+from ghzsim import circuit
 from ghzsim.circuit import final_branches as circuit_final_branches
 from ghzsim.circuit import run_analyzer
 from ghzsim.scattering import (CavityQDParams, PulseSpectrum, ReflectionPair,
@@ -53,14 +55,32 @@ def random_register(n, seed):
     return QubitRegister(n, amps / np.linalg.norm(amps))
 
 
+def stacked_step(photon, refls):
+    """`_photon_step` of one photon with amplitudes `photon`, both QDs in |+>.
+
+    One row per entry of `refls`, each scattering with its own node's
+    amplitudes; returns (child rows, loss weight per parent row).
+    """
+    stack = _input_stack(QubitRegister(1, np.array(photon, dtype=complex)), len(refls))
+    units = _units(ReflectionPair(np.array([r.r0 for r in refls]), np.array([r.r1 for r in refls])),
+                   ReflectionPair(np.array([r.r0 for r in refls]), np.array([r.r1 for r in refls])))
+    lost: list = []
+    children = _photon_step(stack, 0, units, 1.0, lost)
+    lost_w = np.zeros(len(refls))
+    for fates, w, node in lost:
+        assert (fates == fates[:1]).all()  # every loss record of one photon is (LOST,)
+        np.add.at(lost_w, node, w)
+    return children, lost_w
+
+
 def one_photon_step(photon, refl):
-    """`_photon_step` of one photon with amplitudes `photon`, both QDs in |+>."""
-    branch = HybridState.initial(QubitRegister(1, np.array(photon, dtype=complex)))
-    return _photon_step(branch, 0, refl, refl, 1.0)
+    """One-row `stacked_step`: (child branches, lost weight)."""
+    children, lost_w = stacked_step(photon, [refl])
+    return children.views(), float(lost_w[0])
 
 
 class TestQndScatter:
-    """One photon step: the two QND arms, their flips, errors and loss."""
+    """One photon step on stacked rows: the two QND arms, their flips, errors and loss."""
 
     def test_ideal_flip(self):
         # after the first half-wave plate |+> is H (to QND2), |-> is V (to QND1);
@@ -95,6 +115,20 @@ class TestQndScatter:
         children, _ = one_photon_step(KET_V, refl)
         flip = sum(c.weight for c in children if c.fates[0] in CONCLUSIVE_FATES)
         assert flip == pytest.approx(eta1(STANDARD, 1.7), rel=1e-12)
+
+    def test_rows_scatter_with_their_own_node(self):
+        # three nodes in one stack give, row by row, what each gives alone
+        refls = [ReflectionPair.ideal(), ReflectionPair(r0=0.6 + 0.0j, r1=0.6 + 0.0j),
+                 reflection_coeffs(STANDARD, 1.7)]
+        children, lost_w = stacked_step(KET_V, refls)
+        for node, refl in enumerate(refls):
+            alone, lost_alone = one_photon_step(KET_V, refl)
+            rows = np.flatnonzero(children.node == node)
+            assert [children.views()[i].fates for i in rows] == [c.fates for c in alone]
+            np.testing.assert_allclose(children.amps[rows], [c.vec for c in alone], atol=1e-15)
+            np.testing.assert_allclose(children.weight[rows], [c.weight for c in alone],
+                                       rtol=1e-14, atol=1e-15)
+            assert lost_w[node] == pytest.approx(lost_alone, abs=1e-15)
 
 
 class TestIdealRuns:
@@ -283,10 +317,26 @@ class TestRealisticRuns:
     def test_pulse_average_matches_quadrature(self):
         spec = PulseSpectrum(omega_c=0.0, sigma=0.6)
         config = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, spectrum=spec)
-        records = run_analyzer(ghz_state(2, (0, 0)), config)
-        assert conclusive_probability(records) == pytest.approx(
-            average_efficiency(TABLE_PARAMS, spec, 2), abs=1e-8)
-        assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-10)
+        for n in range(2, 7):
+            records = run_analyzer(ghz_state(n, (0,) * n), config)
+            assert conclusive_probability(records) == pytest.approx(
+                average_efficiency(TABLE_PARAMS, spec, n), abs=1e-12), n
+            assert sum(r.probability for r in records) == pytest.approx(1.0, abs=1e-10), n
+
+    def test_pruned_mass_is_booked_as_loss(self):
+        # thousands of D3 children fall below PRUNE_TOL at n = 7; their mass
+        # stays in the records as loss instead of vanishing
+        config = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=0.0, eta0=0.9)
+        records = run_analyzer(ghz_state(7, (0,) * 7), config)
+        assert math.fsum(r.probability for r in records) == pytest.approx(1.0, abs=2e-14)
+
+    def test_records_sorted_and_unique(self):
+        config = AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.7, eta0=0.8)
+        records = run_analyzer(random_register(3, seed=5), config)
+        keys = [(tuple(f.value for f in r.fates), r.qd_readout or ()) for r in records]
+        assert keys == sorted(set(keys))
+        assert all(r.probability > 0.0 for r in records)
+        assert all(f is not PhotonFate.IN_CIRCUIT for r in records for f in r.fates)
 
     def test_pulse_average_with_detector_loss(self):
         spec = PulseSpectrum(omega_c=0.0, sigma=0.3)
@@ -294,6 +344,43 @@ class TestRealisticRuns:
         records = run_analyzer(ghz_state(3, (0, 1, 0)), config)
         assert conclusive_probability(records) == pytest.approx(
             average_efficiency(STANDARD, spec, 3, eta0=0.9), abs=1e-8)
+
+
+class TestTotalLoss:
+    # g = 0 and kappa_s = kappa on resonance give r0 = r1 = 0: every photon
+    # leaks out of the first cavity, so no branch survives the first photon
+    DARK = CavityQDParams.resonant(g=0.0, kappa=30.0, kappa_s=30.0, gamma=0.3)
+
+    def test_exhaustive_and_monte_carlo(self):
+        for enumeration in ("exhaustive", "monte-carlo"):
+            config = AnalyzerConfig(mode="realistic", qnd1=self.DARK, omega=0.0,
+                                    enumeration=enumeration)
+            records = run_analyzer(ghz_state(3, (0, 1, 1)), config, shots=50)
+            assert [(r.fates, r.qd_readout) for r in records] == [((PhotonFate.LOST,) * 3, None)]
+            assert records[0].probability == pytest.approx(1.0, abs=1e-12)
+
+    def test_no_live_branches(self):
+        config = AnalyzerConfig(mode="realistic", qnd1=self.DARK, omega=0.0)
+        assert circuit_final_branches(ghz_state(2, (0, 0)), config) == []
+
+
+class TestMemoryBudget:
+    def test_initial_array_over_budget(self, monkeypatch):
+        monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 2 ** 3 * 4 * 16 - 1)
+        with pytest.raises(ValueError, match="3 photons with 1 quadrature node"):
+            run_analyzer(ghz_state(3, (0, 0, 0)), IDEAL)
+
+    def test_step_over_budget_mid_run(self, monkeypatch):
+        # the initial 512-byte row fits; the first photon's children do not
+        monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 2 ** 3 * 4 * 16)
+        config = AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.0)
+        with pytest.raises(ValueError, match=r"need a 1024-byte branch array.*item 3"):
+            run_analyzer(ghz_state(3, (0, 0, 0)), config)
+        pulse = AnalyzerConfig(mode="realistic", qnd1=STANDARD, quad_nodes=4,
+                               spectrum=PulseSpectrum(omega_c=0.0, sigma=0.3))
+        monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 4 * 2 ** 3 * 4 * 16)
+        with pytest.raises(ValueError, match="3 photons with 4 quadrature node"):
+            run_analyzer(ghz_state(3, (0, 0, 0)), pulse)
 
 
 class TestFeedingOrder:
@@ -370,6 +457,18 @@ class TestMonteCarlo:
         b = run_analyzer(ghz_state(2, (0, 1)), config, shots=5000)
         assert [(r.fates, r.qd_readout, r.probability) for r in a] \
             == [(r.fates, r.qd_readout, r.probability) for r in b]
+
+    def test_records_are_shot_counts(self):
+        shots = 3000
+        config = AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.3, eta0=0.7,
+                                enumeration="monte-carlo", seed=8)
+        records = run_analyzer(ghz_state(3, (1, 0, 1)), config, shots=shots)
+        keys = [(tuple(f.value for f in r.fates), r.qd_readout or ()) for r in records]
+        assert keys == sorted(set(keys))  # a loss with photons left is one key, all LOST
+        assert any(r.qd_readout is None for r in records)
+        for r in records:
+            assert r.probability == round(r.probability * shots) / shots
+        assert sum(round(r.probability * shots) for r in records) == shots
 
     def test_pulse_sampling_total(self):
         spec = PulseSpectrum(omega_c=0.0, sigma=0.3)

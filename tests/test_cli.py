@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 
@@ -243,6 +244,19 @@ class TestAnalyzeCommand:
         assert code == 2
         assert text == ""
         assert "2..256" in capsys.readouterr().err
+
+    def test_branch_array_over_budget_exits_2_before_running(self, tmp_path, capsys):
+        # 256 rows of a 2^17 x 4 vector are 2 GiB before the first photon
+        start = time.perf_counter()
+        code, text = run_cli(["analyze", "GHZ:" + "0" * 17, "--mode", "realistic",
+                              "--sigma", "0.6", "--quad-nodes", "256"], tmp_path, "a.json")
+        assert time.perf_counter() - start < 10.0
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "17 photons with 256 quadrature node(s)" in err
+        assert str(2 ** 31) in err
+        assert "ROADMAP.md item 3" in err
 
     def test_monte_carlo_runs(self, tmp_path):
         code, text = run_cli(["analyze", "BELL:psi-", "--enumeration", "monte-carlo",

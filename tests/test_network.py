@@ -3,14 +3,13 @@ import itertools
 import numpy as np
 import pytest
 
-from ghzsim._ops import reduced_single_qubit
 from ghzsim.circuit import AnalyzerConfig, PhotonFate, run_analyzer
 from ghzsim.network import (bell_swap, feed_photon, ghz_swap,
                             hybrid_pair_state, make_network)
 from ghzsim.scattering import CavityQDParams, PulseSpectrum, error_prob, eta1
 from ghzsim.states import GhzLabel, basis_state, bell_name, fidelity, ghz_state
 from oracles import (BELL_VECTORS, SQ2, expected_phi0, expected_phi1,
-                     expected_phi2, expected_phi3, up_to_phase)
+                     expected_phi2, expected_phi3, reduced_single_qubit, up_to_phase)
 
 IDEAL = AnalyzerConfig(mode="ideal")
 STANDARD = CavityQDParams.resonant(g=30.0, kappa=90.0, kappa_s=30.0, gamma=0.3)
@@ -77,7 +76,7 @@ class TestFeedPhoton:
                  if br.fates[0] is PhotonFate.D3)
         assert d3 == pytest.approx(error_prob(STANDARD, 0.9), abs=1e-12)
         total = (sum(br.weight for br in state.branches)
-                 + sum(w for _, w in state.lost))
+                 + sum(w.sum() for _, w, _ in state.lost))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_no_signaling_on_unfed_spins(self):
@@ -147,6 +146,14 @@ class TestBellSwap:
         for o in conclusive:
             target = ghz_state(2, o.predicted)
             assert fidelity(target, o.remote_state) == pytest.approx(1.0, abs=1e-12)
+
+    def test_every_photon_lost(self):
+        # r0 = r1 = 0: the first photon leaks out, no branch is left to swap
+        dark = CavityQDParams.resonant(g=0.0, kappa=30.0, kappa_s=30.0, gamma=0.3)
+        outcomes = self.run_two_pair(AnalyzerConfig(mode="realistic", qnd1=dark, omega=0.0))
+        assert [(o.clicks, o.remote_state) for o in outcomes] \
+            == [((PhotonFate.LOST, PhotonFate.LOST), None)]
+        assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
 
     def test_wrong_fed_count_rejected(self):
         state = feed_photon(make_network(2), 0, IDEAL)
