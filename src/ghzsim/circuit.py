@@ -26,6 +26,11 @@ that layout with no spins. Exhaustive runs keep every child row; a
 Monte-Carlo shot is a one-row stack that keeps one child per photon.
 `HybridState` is a per-branch view, built only for callers that ask for
 branches (`final_branches`, `NetworkState.branches`).
+
+Memory: a run holds at most MAX_STEP_BYTES at once. A pulse run whose step
+would pass it carries its nodes in smaller groups, one group after the
+other, since rows of different nodes never interact; its records are summed
+per key after every step rather than kept per row.
 """
 from __future__ import annotations
 
@@ -42,8 +47,10 @@ from .states import GhzLabel, QubitRegister, bell_name
 
 PRUNE_TOL = 1e-15
 
-# largest branch array (rows x vector length x 16 bytes) a run may build; a
-# larger run is refused before it allocates, not left to the OOM killer
+# most bytes a run may hold at once: the whole initial array, or one photon
+# step's working set plus the rows waiting their turn (`_step_bytes`); a
+# larger step is run on fewer quadrature nodes at a time, and a run that does
+# not fit even so is refused before it allocates, not left to the OOM killer
 MAX_STEP_BYTES = 2 ** 30
 
 INCONCLUSIVE = "inconclusive"
@@ -171,27 +178,58 @@ class BranchStack:
     def __len__(self) -> int:
         return len(self.node)
 
+    @property
+    def nbytes(self) -> int:
+        return sum(a.nbytes for a in (self.amps, self.fates, self.pols, self.node,
+                                      self.weight))
+
+    def select(self, rows: np.ndarray) -> BranchStack:
+        return BranchStack(self.amps[rows], self.fates[rows], self.pols[rows],
+                           self.node[rows], self.weight[rows])
+
     def views(self) -> list[HybridState]:
         return [HybridState(tuple(_FATES[c] for c in fates), vec, tuple(pols))
                 for vec, fates, pols in zip(self.amps, self.fates.tolist(),
                                             self.pols.tolist())]
 
 
-def _check_budget(rows: int, dim: int, n: int, nodes: int) -> None:
-    need = rows * dim * 16
-    if need > MAX_STEP_BYTES:
-        raise ValueError(
-            f"{n} photons with {nodes} quadrature node(s) need a {need}-byte branch "
-            f"array, over the {MAX_STEP_BYTES}-byte budget; runs this large need the "
-            f"conclusive-only mode of ROADMAP.md item 3")
+class _OverBudget(ValueError):
+    """A branch array or photon step that would pass MAX_STEP_BYTES."""
 
 
-def _initial_stack(vec: np.ndarray, n: int, nodes: int) -> BranchStack:
-    """One row of `vec` (spins, n photons, QD1, QD2) per quadrature node."""
-    _check_budget(nodes, vec.size, n, nodes)
-    return BranchStack(np.tile(vec, (nodes, 1)), np.full((nodes, n), _IN, np.int8),
-                       np.zeros((nodes, n), np.int8), np.arange(nodes),
-                       np.full(nodes, norm2(vec)))
+def _refuse(n: int, nodes: int, what: str) -> _OverBudget:
+    return _OverBudget(f"{n} photons with {nodes} quadrature node(s) {what}, over the "
+                       f"{MAX_STEP_BYTES}-byte budget; runs this large need the "
+                       f"conclusive-only mode of ROADMAP.md item 3")
+
+
+# bookkeeping bytes of a photon step besides the amplitudes, with 2 more per
+# photon and row for the fates and pols: per parent row its node's scattering
+# factors and row fields, per child row its weight, prune masks, kept index,
+# block, parent, node and kept weight; and the ufunc buffers of one operation
+_PARENT_ROW_BYTES = 96
+_CHILD_ROW_BYTES = 64
+_BUFFER_BYTES = 2 ** 18
+
+
+def _step_bytes(rows: int, dim: int, blocks: int, n: int) -> int:
+    """Most bytes one photon step holds for `rows` parent rows of `dim` amplitudes.
+
+    The amplitudes count in child blocks of rows x dim/2: the parent rows (2),
+    both QND arms (2) and the flipped arms (2) next to the `blocks` children,
+    or later the children next to their pruned copy. Every row's bookkeeping
+    counts on top.
+    """
+    amps = dim * 8 * max(6 + blocks, 2 + 2 * blocks)
+    book = (_PARENT_ROW_BYTES + blocks * _CHILD_ROW_BYTES + (1 + blocks) * 2 * n)
+    return rows * (amps + book) + _BUFFER_BYTES
+
+
+def _initial_stack(vec: np.ndarray, n: int, nodes: np.ndarray) -> BranchStack:
+    """One row of `vec` (spins, n photons, QD1, QD2) per quadrature node in `nodes`."""
+    rows = len(nodes)
+    return BranchStack(np.tile(vec, (rows, 1)), np.full((rows, n), _IN, np.int8),
+                       np.zeros((rows, n), np.int8), nodes, np.full(rows, norm2(vec)))
 
 
 def _units(refl1: ReflectionPair, refl2: ReflectionPair):
@@ -240,7 +278,7 @@ _BLOCKS = {(errors, lossy): (np.array(([_D3, _D3] if errors else [])
 
 
 def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
-                 lost: list) -> BranchStack:
+                 lost: list, held: int = 0) -> BranchStack:
     """One full analyzer pass of one photon in every row; returns the child rows.
 
     `units` holds the scattering factors of both detector units per
@@ -252,6 +290,9 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
     gets a record of its own. Records are appended to `lost` as (fates,
     weights, nodes) arrays. The run ends there and nothing more is tracked,
     so photons still IN_CIRCUIT in a loss record count as LOST (`_pack`).
+    A step whose working set (`_step_bytes`) plus the `held` bytes the caller
+    keeps besides the stack would pass MAX_STEP_BYTES raises `_OverBudget`
+    before it allocates or books anything.
     """
     rows = len(stack)
     if not rows:
@@ -268,7 +309,10 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
     lossy = eta0 < 1.0
     codes, pols = _BLOCKS[errors, lossy]
     d3 = 2 if errors else 0  # number of D3 blocks
-    _check_budget(len(codes) * rows, t[0, :, 0].size, len(fates0), nodes)
+    need = held + _step_bytes(rows, t[0].size, len(codes), len(fates0))
+    if need > MAX_STEP_BYTES:
+        raise _refuse(len(fates0), nodes, f"need {need} bytes for a photon step on "
+                      f"{rows} rows of {t[0].size} amplitudes")
     kids = np.empty((len(codes), rows) + t.shape[1:2] + t.shape[3:], dtype=complex)
     # half-wave plate, then the PBS sends V to QND1 and H to QND2 (arms times sqrt2)
     arms = np.empty((2,) + kids.shape[1:], dtype=complex)
@@ -368,27 +412,67 @@ def _qd_readouts(amps: np.ndarray):
     return comps, np.einsum("rkjc,rkjc->rj", flat, flat)
 
 
+def _sum_by_key(keys: np.ndarray, probs: np.ndarray):
+    """(sorted unique keys, the probabilities summed per key)."""
+    unique, inverse = np.unique(keys, return_inverse=True)
+    return unique, np.bincount(inverse, weights=probs, minlength=len(unique))
+
+
 def _records(keys: np.ndarray, probs: np.ndarray, n: int) -> list[OutcomeRecord]:
     """Sum probabilities per packed key; records come sorted by (fate values, QD pair)."""
-    unique, inverse = np.unique(keys, return_inverse=True)
-    sums = np.bincount(inverse, weights=probs, minlength=len(unique))
+    unique, sums = _sum_by_key(keys, probs)
     digits = unique[:, None] // 5 ** np.arange(n, -1, -1) % 5  # photons, then QD code
     return [OutcomeRecord(tuple(_FATES[c] for c in row[:-1]),
                           QD_PAIRS[row[-1] - 1] if row[-1] else None, p)
             for row, p in zip(digits.tolist(), sums.tolist()) if p > 0.0]
 
 
-def _input_stack(photons: QubitRegister, nodes: int) -> BranchStack:
+def _input_stack(photons: QubitRegister, nodes: np.ndarray) -> BranchStack:
     vec = kron_all(photons.amplitudes, KET_PLUS, KET_PLUS)
     return _initial_stack(vec, photons.num_qubits, nodes)
 
 
-def _evolve(photons: QubitRegister, units, eta0: float, order, lost: list) -> BranchStack:
-    """All photons through the pipeline, one row per quadrature node to start."""
-    stack = _input_stack(photons, units[2].shape[1])
-    for k in order:
-        stack = _photon_step(stack, k, units, eta0, lost)
-    return stack
+def _evolve(photons: QubitRegister, units, eta0: float, order, book=None):
+    """All photons through the pipeline, one row per quadrature node to start.
+
+    Yields the final rows: one stack when the run fits MAX_STEP_BYTES. Rows
+    of different nodes never interact, so a step that would pass the budget
+    runs on half of the stack's nodes while the other half waits its turn;
+    the halves are carried to the end one after the other. A step that
+    passes the budget on a single node's rows is refused. Each step's loss
+    records go to `book` right after the step, or are dropped when it is None.
+    """
+    n = photons.num_qubits
+    nodes = units[2].shape[1]
+    need = nodes * photons.amplitudes.size * 4 * 16
+    if need > MAX_STEP_BYTES:
+        raise _refuse(n, nodes, f"need a {need}-byte branch array")
+    todo = [(np.arange(nodes), None, 0)]  # (nodes, their rows, photons fed)
+    while todo:
+        ids, stack, fed = todo.pop()
+        while fed < len(order):
+            if stack is None:  # no photon fed yet: the rows are built only now
+                stack = _input_stack(photons, ids)
+            held = sum(s.nbytes for _, s, _ in todo if s is not None)
+            lost: list = []
+            try:
+                stack = _photon_step(stack, order[fed], units, eta0, lost, held)
+            except _OverBudget:
+                if len(ids) == 1:
+                    raise
+                ids, rest = np.array_split(ids, 2)
+                if fed:
+                    later = stack.node >= rest[0]
+                    todo.append((rest, stack.select(later), fed))
+                    stack = stack.select(~later)
+                else:
+                    todo.append((rest, None, 0))
+                    stack = None
+                continue
+            fed += 1
+            if book is not None:
+                book(lost)
+        yield stack
 
 
 def final_branches(photons: QubitRegister, config: AnalyzerConfig,
@@ -409,11 +493,12 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
         raise ValueError("final_branches needs a monochromatic configuration")
     order = list(range(n)) if order is None else list(order)
     units = _units(*config.reflection_pairs())
-    return _evolve(photons, units, config.eta0, order, []).views()
+    return [branch for stack in _evolve(photons, units, config.eta0, order)
+            for branch in stack.views()]
 
 
 def _run_exhaustive(photons: QubitRegister, config: AnalyzerConfig, order):
-    """Exact records; a pulse's quadrature nodes run together as rows."""
+    """Exact records; a pulse's quadrature nodes run together as rows, in groups if need be."""
     if config.spectrum is not None and config.mode == "realistic":
         x, w = _hermite_nodes(config.quad_nodes)
         omegas = config.spectrum.omega_c + config.spectrum.sigma * x
@@ -422,15 +507,46 @@ def _run_exhaustive(photons: QubitRegister, config: AnalyzerConfig, order):
     else:
         units = _units(*config.reflection_pairs())
         node_weight = np.ones(1)
-    lost: list = []
-    stack = _evolve(photons, units, config.eta0, order, lost)
-    _, weights = _qd_readouts(stack.amps)
-    row, pair = np.nonzero(weights > PRUNE_TOL)
-    keys = [_pack(fates) for fates, _, _ in lost]
-    keys.append(_pack(stack.fates)[row] + 1 + pair)
-    probs = [w * node_weight[node] for _, w, node in lost]
-    probs.append(weights[row, pair] * node_weight[stack.node[row]])
-    return _records(np.concatenate(keys), np.concatenate(probs), photons.num_qubits)
+    n = photons.num_qubits
+    # the records so far, summed per key after every step: a run never holds
+    # its loss rows, only one sum per record
+    keys, probs = np.empty(0, np.int64), np.empty(0)
+
+    def add(new_keys, new_probs):
+        nonlocal keys, probs
+        keys, probs = _sum_by_key(np.concatenate((keys, new_keys)),
+                                  np.concatenate((probs, new_probs)))
+
+    def book(lost):
+        for fates, w, node in lost:
+            add(_pack(fates), w * node_weight[node])
+
+    for stack in _evolve(photons, units, config.eta0, order, book):
+        weights = _qd_readouts(stack.amps)[1]
+        row, pair = np.nonzero(weights > PRUNE_TOL)
+        add(_pack(stack.fates)[row] + 1 + pair,
+            weights[row, pair] * node_weight[stack.node[row]])
+        del stack, weights, row, pair  # the next node group runs without them
+    return _records(keys, probs, n)
+
+
+def click_records(stack: BranchStack, lost: list, photons: list[int]):
+    """Split a run's branches by the clicks of the given photons, before the QD readout.
+
+    Returns (aborted, heralded, clicks): the records, summed per click record
+    over `photons` and with no QD readout, of every branch that ended in loss
+    or where one of them did not click D1 or D2; the indices of the live rows
+    where each of them clicked D1 or D2; and those rows' clicks.
+    """
+    clicks = stack.fates[:, photons]
+    conclusive = np.all(clicks <= _D2, axis=1)
+    aborted = [(fates[:, photons], w) for fates, w, _ in lost]
+    aborted.append((clicks[~conclusive], stack.weight[~conclusive]))
+    records = _records(np.concatenate([_pack(fates) for fates, _ in aborted]),
+                       np.concatenate([w for _, w in aborted]), len(photons))
+    heralded = np.flatnonzero(conclusive)
+    return records, heralded, [tuple(_FATES[c] for c in row)
+                               for row in clicks[heralded].tolist()]
 
 
 def _sample_omega(rng, spectrum: PulseSpectrum) -> float:
@@ -448,7 +564,7 @@ def _run_monte_carlo(photons: QubitRegister, config: AnalyzerConfig, shots, orde
     rng = np.random.default_rng(config.seed)
     counts: dict = {}  # (fates, QD code) -> shots
     fixed = _units(*config.reflection_pairs()) if config.spectrum is None else None
-    init = _input_stack(photons, 1)
+    init = _input_stack(photons, np.zeros(1, np.intp))
     normalized = np.ones(1)
     for _ in range(shots):
         if fixed is None:

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ops import KET_PLUS, SQRT_HALF, kron_all
-from .circuit import (_D2, _FATES, PRUNE_TOL, QD_PAIRS, AnalyzerConfig, BranchStack,
-                      HybridState, OutcomeRecord, _initial_stack, _mass, _pack,
-                      _photon_step, _qd_readouts, _records, _units, classify)
+from .circuit import (PRUNE_TOL, QD_PAIRS, AnalyzerConfig, BranchStack, HybridState,
+                      OutcomeRecord, _initial_stack, _mass, _photon_step, _qd_readouts,
+                      _units, classify, click_records)
 from .states import GhzLabel, QubitRegister
 
 
@@ -74,8 +74,8 @@ def make_network(num_pairs: int) -> NetworkState:
     perm = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
     spins_first = np.transpose(t, perm).reshape(-1)
     amps = kron_all(spins_first, KET_PLUS, KET_PLUS)
-    return NetworkState(num_pairs=m, stack=_initial_stack(amps, m, 1), lost=[],
-                        fed=(False,) * m)
+    stack = _initial_stack(amps, m, np.zeros(1, np.intp))
+    return NetworkState(num_pairs=m, stack=stack, lost=[], fed=(False,) * m)
 
 
 def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> NetworkState:
@@ -140,23 +140,14 @@ def _swap_outcomes(state: NetworkState, expect_fed: int) -> list[SwapOutcome]:
     if len(fed) != expect_fed:
         raise ValueError(f"swap needs exactly {expect_fed} fed photons, got {len(fed)}")
     m = len(fed)
-    stack = state.stack
-    clicks = stack.fates[:, fed]
-    conclusive = np.all(clicks <= _D2, axis=1)
-    # distinct lost and error branches can share a click record
-    aborted = [(f[:, fed], w) for f, w, _ in state.lost]
-    aborted.append((clicks[~conclusive], stack.weight[~conclusive]))
-    outcomes = [SwapOutcome(r.fates, None, r.probability, None, None)
-                for r in _records(np.concatenate([_pack(f) for f, _ in aborted]),
-                                  np.concatenate([w for _, w in aborted]), m)]
-    comps, weights = _qd_readouts(_factor_out_unfed_pairs(state, stack.amps[conclusive]))
-    heralded = clicks[conclusive].tolist()
+    aborted, heralded, clicks = click_records(state.stack, state.lost, fed)
+    outcomes = [SwapOutcome(r.fates, None, r.probability, None, None) for r in aborted]
+    comps, weights = _qd_readouts(_factor_out_unfed_pairs(state, state.stack.amps[heralded]))
     for row, j in zip(*np.nonzero(weights > PRUNE_TOL)):  # comps: the fed spins
         w = float(weights[row, j])
-        click = tuple(_FATES[c] for c in heralded[row])
         remote = QubitRegister(m, comps[row, :, j] / np.sqrt(w))
-        predicted = classify(OutcomeRecord(click, QD_PAIRS[j], w), m)
-        outcomes.append(SwapOutcome(click, QD_PAIRS[j], w, remote, predicted))
+        predicted = classify(OutcomeRecord(clicks[row], QD_PAIRS[j], w), m)
+        outcomes.append(SwapOutcome(clicks[row], QD_PAIRS[j], w, remote, predicted))
     return sorted(outcomes, key=lambda o: (tuple(c.value for c in o.clicks),
                                            o.qd_readout or ()))
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from ghzsim import circuit
 from ghzsim.circuit import final_branches as circuit_final_branches
 from ghzsim.circuit import run_analyzer
 from ghzsim.scattering import (CavityQDParams, PulseSpectrum, ReflectionPair,
-                               average_efficiency, eta1, reflection_coeffs)
+                               _hermite_nodes, average_efficiency, eta1, reflection_coeffs)
 from ghzsim.states import GhzLabel, QubitRegister, basis_state, bell_state, ghz_state
 from oracles import H, I2, KET_H, KET_MINUS, KET_PLUS, KET_V, SQ2, X, Z, kron_chain, op_on
 
@@ -61,7 +62,8 @@ def stacked_step(photon, refls):
     One row per entry of `refls`, each scattering with its own node's
     amplitudes; returns (child rows, loss weight per parent row).
     """
-    stack = _input_stack(QubitRegister(1, np.array(photon, dtype=complex)), len(refls))
+    stack = _input_stack(QubitRegister(1, np.array(photon, dtype=complex)),
+                         np.arange(len(refls)))
     units = _units(ReflectionPair(np.array([r.r0 for r in refls]), np.array([r.r1 for r in refls])),
                    ReflectionPair(np.array([r.r0 for r in refls]), np.array([r.r1 for r in refls])))
     lost: list = []
@@ -371,16 +373,76 @@ class TestMemoryBudget:
             run_analyzer(ghz_state(3, (0, 0, 0)), IDEAL)
 
     def test_step_over_budget_mid_run(self, monkeypatch):
-        # the initial 512-byte row fits; the first photon's children do not
+        # the initial 512-byte row fits; the first photon's step does not
         monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 2 ** 3 * 4 * 16)
         config = AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.0)
-        with pytest.raises(ValueError, match=r"need a 1024-byte branch array.*item 3"):
+        with pytest.raises(ValueError, match=r"3 photons with 1 quadrature node\(s\) need "
+                                             r"\d+ bytes for a photon step on 1 rows.*item 3"):
             run_analyzer(ghz_state(3, (0, 0, 0)), config)
+        # a pulse run splits its nodes down to one before it is refused
         pulse = AnalyzerConfig(mode="realistic", qnd1=STANDARD, quad_nodes=4,
                                spectrum=PulseSpectrum(omega_c=0.0, sigma=0.3))
         monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 4 * 2 ** 3 * 4 * 16)
-        with pytest.raises(ValueError, match="3 photons with 4 quadrature node"):
+        with pytest.raises(ValueError, match=r"3 photons with 4 quadrature node\(s\) need "
+                                             r"\d+ bytes for a photon step on 1 rows"):
             run_analyzer(ghz_state(3, (0, 0, 0)), pulse)
+
+    def test_pulse_run_over_budget_runs_fewer_nodes_at_a_time(self, monkeypatch):
+        # rows of different nodes never interact: a pulse run three to seven
+        # times over the budget gives the same records, and its traced
+        # allocations, records included, stay within the budget
+        photons = ghz_state(6, (0,) * 6)
+        pulse = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, eta0=0.9, quad_nodes=16,
+                               spectrum=PulseSpectrum(omega_c=0.0, sigma=0.6))
+
+        def traced_run():
+            tracemalloc.start()
+            try:
+                return run_analyzer(photons, pulse), tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        reference, unlimited = traced_run()
+        for share in (3, 5, 7):
+            monkeypatch.setattr(circuit, "MAX_STEP_BYTES", unlimited // share)
+            got, peak = traced_run()
+            assert peak <= circuit.MAX_STEP_BYTES
+            assert [(r.fates, r.qd_readout) for r in got] == \
+                [(r.fates, r.qd_readout) for r in reference]
+            np.testing.assert_allclose([r.probability for r in got],
+                                       [r.probability for r in reference], rtol=0, atol=1e-15)
+        x, _ = _hermite_nodes(16)
+        units = _units(*pulse.reflection_pairs(0.6 * x))
+        stacks = list(circuit._evolve(photons, units, 0.9, range(6)))
+        assert len(stacks) > 2
+        assert sorted(np.concatenate([np.unique(s.node) for s in stacks])) == list(range(16))
+
+    @pytest.mark.parametrize("config, n", [
+        (AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, eta0=0.9), 7),
+        (AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, spectrum=PulseSpectrum(0.0, 0.6)), 4),
+    ])
+    def test_step_bytes_bound_what_a_step_allocates(self, config, n):
+        if config.spectrum is None:
+            units = _units(*config.reflection_pairs())
+        else:
+            x, _ = _hermite_nodes(config.quad_nodes)
+            units = _units(*config.reflection_pairs(0.6 * x))
+        blocks = 6 if config.eta0 < 1.0 else 4
+        stack = _input_stack(ghz_state(n, (0,) * n), np.arange(units[2].shape[1]))
+        lost: list = []
+        tracemalloc.start()
+        try:
+            for photon in range(n):
+                counted = circuit._step_bytes(len(stack), stack.amps.shape[1], blocks, n)
+                before = tracemalloc.get_traced_memory()[0] - stack.amps.nbytes
+                tracemalloc.reset_peak()
+                stack = _photon_step(stack, photon, units, config.eta0, lost)
+                peak = tracemalloc.get_traced_memory()[1] - before
+                assert peak <= counted
+                if peak > 2 ** 20:  # past the fixed overheads the count is close
+                    assert counted < 1.6 * peak
+        finally:
+            tracemalloc.stop()
 
 
 class TestFeedingOrder:
