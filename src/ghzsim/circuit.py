@@ -43,7 +43,7 @@ import numpy as np
 from ._ops import KET_MINUS, KET_PLUS, SQRT_HALF, kron_all, norm2
 from .scattering import (MAX_QUAD_NODES, CavityQDParams, PulseSpectrum,
                          ReflectionPair, _hermite_nodes, reflection_coeffs)
-from .states import GhzLabel, QubitRegister, bell_name
+from .states import GhzLabel, QubitRegister
 
 PRUNE_TOL = 1e-15
 
@@ -225,6 +225,14 @@ def _step_bytes(rows: int, dim: int, blocks: int, n: int) -> int:
     return rows * (amps + book) + _BUFFER_BYTES
 
 
+def _check_step(n: int, nodes: int, rows: int, dim: int, blocks: int, held: int = 0) -> None:
+    """Refuse a photon step on `rows` rows of `dim` amplitudes that would pass the budget."""
+    need = held + _step_bytes(rows, dim, blocks, n)
+    if need > MAX_STEP_BYTES:
+        raise _refuse(n, nodes, f"need {need} bytes for a photon step on "
+                      f"{rows} rows of {dim} amplitudes")
+
+
 def _initial_stack(vec: np.ndarray, n: int, nodes: np.ndarray) -> BranchStack:
     """One row of `vec` (spins, n photons, QD1, QD2) per quadrature node in `nodes`."""
     rows = len(nodes)
@@ -309,10 +317,7 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
     lossy = eta0 < 1.0
     codes, pols = _BLOCKS[errors, lossy]
     d3 = 2 if errors else 0  # number of D3 blocks
-    need = held + _step_bytes(rows, t[0].size, len(codes), len(fates0))
-    if need > MAX_STEP_BYTES:
-        raise _refuse(len(fates0), nodes, f"need {need} bytes for a photon step on "
-                      f"{rows} rows of {t[0].size} amplitudes")
+    _check_step(len(fates0), nodes, rows, t[0].size, len(codes), held)
     kids = np.empty((len(codes), rows) + t.shape[1:2] + t.shape[3:], dtype=complex)
     # half-wave plate, then the PBS sends V to QND1 and H to QND2 (arms times sqrt2)
     arms = np.empty((2,) + kids.shape[1:], dtype=complex)
@@ -439,15 +444,11 @@ def _evolve(photons: QubitRegister, units, eta0: float, order, book=None):
     of different nodes never interact, so a step that would pass the budget
     runs on half of the stack's nodes while the other half waits its turn;
     the halves are carried to the end one after the other. A step that
-    passes the budget on a single node's rows is refused. Each step's loss
-    records go to `book` right after the step, or are dropped when it is None.
+    passes the budget on a single node's rows is refused; the initial rows
+    are checked before (`check_fits`). Each step's loss records go to `book`
+    right after the step, or are dropped when it is None.
     """
-    n = photons.num_qubits
-    nodes = units[2].shape[1]
-    need = nodes * photons.amplitudes.size * 4 * 16
-    if need > MAX_STEP_BYTES:
-        raise _refuse(n, nodes, f"need a {need}-byte branch array")
-    todo = [(np.arange(nodes), None, 0)]  # (nodes, their rows, photons fed)
+    todo = [(np.arange(units[2].shape[1]), None, 0)]  # (nodes, their rows, photons fed)
     while todo:
         ids, stack, fed = todo.pop()
         while fed < len(order):
@@ -475,6 +476,37 @@ def _evolve(photons: QubitRegister, units, eta0: float, order, book=None):
         yield stack
 
 
+def check_fits(n: int, config: AnalyzerConfig) -> None:
+    """Refuse an n-photon run before it allocates if one node cannot fit MAX_STEP_BYTES.
+
+    Counts the initial rows (one per node of an exhaustive pulse run) and one
+    node's first photon step with the fewest children a step makes, so a run
+    refused here would be refused at that step anyway.
+    """
+    pulse = (config.spectrum is not None and config.mode == "realistic"
+             and config.enumeration == "exhaustive")
+    nodes = config.quad_nodes if pulse else 1
+    dim = 4 * 2 ** n
+    need = nodes * dim * 16
+    if need > MAX_STEP_BYTES:
+        raise _refuse(n, nodes, f"need a {need}-byte branch array")
+    _check_step(n, nodes, 1, dim, len(_BLOCKS[False, config.eta0 < 1.0][0]))
+
+
+def _feeding_order(photons: QubitRegister, config: AnalyzerConfig, order) -> list[int]:
+    """The photons' feeding order, once the register is known to be a runnable input."""
+    n = photons.num_qubits
+    if n < 2:
+        raise ValueError("the analyzer needs at least 2 photons")
+    if not photons.is_normalized():
+        raise ValueError("input register must be normalized")
+    order = list(range(n)) if order is None else list(order)
+    if sorted(order) != list(range(n)):
+        raise ValueError("order must be a permutation of the photon indices")
+    check_fits(n, config)
+    return order
+
+
 def final_branches(photons: QubitRegister, config: AnalyzerConfig,
                    order=None) -> list[HybridState]:
     """Run every photon through the analyzer, stopping before the QD readout.
@@ -484,14 +516,9 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
     which is what conditional post-measurement checks need. Monochromatic
     configs only.
     """
-    n = photons.num_qubits
-    if n < 2:
-        raise ValueError("the analyzer needs at least 2 photons")
-    if not photons.is_normalized(tol=1e-9):
-        raise ValueError("input register must be normalized")
     if config.spectrum is not None and config.mode == "realistic":
         raise ValueError("final_branches needs a monochromatic configuration")
-    order = list(range(n)) if order is None else list(order)
+    order = _feeding_order(photons, config, order)
     units = _units(*config.reflection_pairs())
     return [branch for stack in _evolve(photons, units, config.eta0, order)
             for branch in stack.views()]
@@ -606,14 +633,7 @@ def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
     optionally permutes the feeding sequence of the photons. Records come
     sorted by (fate values, QD pair).
     """
-    n = photons.num_qubits
-    if n < 2:
-        raise ValueError("the analyzer needs at least 2 photons")
-    if not photons.is_normalized(tol=1e-9):
-        raise ValueError("input register must be normalized")
-    order = list(range(n)) if order is None else list(order)
-    if sorted(order) != list(range(n)):
-        raise ValueError("order must be a permutation of the photon indices")
+    order = _feeding_order(photons, config, order)
     if config.enumeration == "monte-carlo":
         if shots < 1:
             raise ValueError("shots must be >= 1")
@@ -656,16 +676,3 @@ def classification_distribution(records: list[OutcomeRecord], n: int) -> dict[st
         out[key] = out.get(key, 0.0) + r.probability
     return dict(sorted(out.items()))
 
-
-def analyze_bell(photons: QubitRegister, config: AnalyzerConfig,
-                 shots: int = 100_000) -> dict[str, float]:
-    """Two-photon wrapper: classification distribution keyed by Bell names."""
-    if photons.num_qubits != 2:
-        raise ValueError("analyze_bell expects a 2-photon register")
-    records = run_analyzer(photons, config, shots=shots)
-    dist = classification_distribution(records, 2)
-    out: dict[str, float] = {}
-    for key, p in dist.items():
-        name = key if key == INCONCLUSIVE else bell_name(GhzLabel.from_string(key))
-        out[name] = out.get(name, 0.0) + p
-    return dict(sorted(out.items()))

@@ -10,7 +10,7 @@ Subcommands
 Outputs are deterministic for a fixed configuration and seed: CSV carries the
 resolved configuration as '#' comment lines above a single header row, JSON
 embeds it as a "metadata" object.
-Exit codes: 0 success, 2 bad arguments, 3 numerical non-convergence.
+Exit codes: 0 success, 2 bad arguments or an oversized run, 3 non-convergence.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ from importlib import resources
 import numpy as np
 
 from . import __version__
-from .circuit import (INCONCLUSIVE, AnalyzerConfig, classification_distribution,
+from .circuit import (INCONCLUSIVE, AnalyzerConfig, check_fits, classification_distribution,
                       classify, conclusive_probability, run_analyzer)
 from .network import bell_swap, feed_photon, ghz_swap, make_network
 from .scattering import (CavityQDParams, PulseSpectrum,
@@ -223,7 +223,7 @@ def _parse_list(text: str, name: str, cast) -> list:
         raise UsageError(f"bad {name} list {text!r}") from exc
 
 
-def parse_state_spec(text: str):
+def parse_state_spec(text: str, config: AnalyzerConfig):
     """'GHZ:<bits>' or 'BELL:<name>' to (register, true label, display name)."""
     kind, _, rest = text.partition(":")
     if kind == "GHZ" and rest:
@@ -231,6 +231,7 @@ def parse_state_spec(text: str):
             label = GhzLabel.from_string(rest)
         except ValueError as exc:
             raise UsageError(f"{exc}; {STATE_GRAMMAR}") from exc
+        check_fits(label.n, config)  # before the register is built
         return ghz_state(label.n, label), label, f"GHZ:{label}"
     if kind == "BELL":
         try:
@@ -266,7 +267,7 @@ def cmd_efficiency_map(args: argparse.Namespace) -> RunReport:
     gamma = settings.get("scattering", "gamma", 0.3)
     sigma = settings.get("pulse", "sigma", gamma)
     eta0 = settings.get("analyzer", "eta0", 1.0)
-    nodes = int(settings.get("analyzer", "quad_nodes", 64, cast=int))
+    nodes = settings.get("analyzer", "quad_nodes", 64, cast=int)
     n = args.n
     g_axis = _parse_axis(settings.get("sweep", "g_over_ks", "0.25:4:16", cast=str),
                          "g_over_ks")
@@ -291,7 +292,7 @@ def cmd_table1(args: argparse.Namespace) -> RunReport:
     params = _scattering_params(settings)
     sigma = settings.get("pulse", "sigma", 2.0 * params.gamma)
     eta0 = settings.get("analyzer", "eta0", 1.0)
-    nodes = int(settings.get("analyzer", "quad_nodes", 64, cast=int))
+    nodes = settings.get("analyzer", "quad_nodes", 64, cast=int)
     n_list = (_parse_list(settings.get("table", "n", "2,3,4,5,6,7,8,20", cast=str), "n", int)
               if args.n_list is None else _parse_list(args.n_list, "--n-list", int))
     t2_text = (settings.get("table", "t2", "10.9,2000", cast=str)
@@ -319,8 +320,8 @@ def _analyzer_config(settings: _Settings, args: argparse.Namespace) -> AnalyzerC
     mode = settings.get("analyzer", "mode", "ideal", cast=str)
     enumeration = settings.get("analyzer", "enumeration", "exhaustive", cast=str)
     eta0 = settings.get("analyzer", "eta0", 1.0)
-    nodes = int(settings.get("analyzer", "quad_nodes", 64, cast=int))
-    seed = int(settings.get("analyzer", "seed", 0, cast=int))
+    nodes = settings.get("analyzer", "quad_nodes", 64, cast=int)
+    seed = settings.get("analyzer", "seed", 0, cast=int)
     params = _scattering_params(settings) if mode == "realistic" else None
     omega = getattr(args, "omega", None)
     # [pulse] applies only where --sigma exists: swap runs are monochromatic
@@ -351,8 +352,8 @@ def _echo_analyzer(meta: dict, config: AnalyzerConfig) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> RunReport:
     settings = _settings(args)
-    photons, true_label, display = parse_state_spec(args.state)
     config = _analyzer_config(settings, args)
+    photons, true_label, display = parse_state_spec(args.state, config)
     n = photons.num_qubits
     records = run_analyzer(photons, config, shots=args.shots)
     dist = classification_distribution(records, n)

@@ -22,8 +22,8 @@ import numpy as np
 
 from ._ops import KET_PLUS, SQRT_HALF, kron_all
 from .circuit import (PRUNE_TOL, QD_PAIRS, AnalyzerConfig, BranchStack, HybridState,
-                      OutcomeRecord, _initial_stack, _mass, _photon_step, _qd_readouts,
-                      _units, classify, click_records)
+                      OutcomeRecord, _initial_stack, _photon_step, _qd_readouts, _units,
+                      classify, click_records)
 from .states import GhzLabel, QubitRegister
 
 
@@ -97,7 +97,7 @@ def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> Net
 class SwapOutcome:
     """One heralded swap result.
 
-    clicks covers the fed photons in feeding order. For conclusive outcomes
+    clicks covers every hub photon, in photon order. For conclusive outcomes
     the remote spins collapse onto `remote_state` and `predicted` is the
     label inferred from the click record alone; inconclusive branches are
     aborted with no QD measurement attached.
@@ -110,40 +110,14 @@ class SwapOutcome:
     predicted: GhzLabel | None
 
 
-def _factor_out_unfed_pairs(state: NetworkState, amps: np.ndarray) -> np.ndarray:
-    """Contract the untouched pairs out of every live row.
-
-    Returns the rows on the fed spins and the two QDs. Raises if a
-    supposedly untouched pair turns out to be entangled with the rest.
-    """
-    m0 = state.num_pairs
-    unfed = [i for i, done in enumerate(state.fed) if not done]
-    axes = list(range(m0)) + [m0 + i for i in unfed] + [2 * m0, 2 * m0 + 1]  # axis ids
-    rows = len(amps)
-    t = amps.reshape([rows] + [2] * len(axes))
-    for i in unfed:
-        tt = np.moveaxis(t, (1 + axes.index(i), 1 + axes.index(m0 + i)), (1, 2))
-        rest = (tt[:, 0, 0] + tt[:, 1, 1]) * SQRT_HALF
-        recon = np.zeros_like(tt)
-        recon[:, 0, 0] = rest * SQRT_HALF
-        recon[:, 1, 1] = rest * SQRT_HALF
-        if np.any(_mass(tt - recon) > 1e-12 * np.maximum(1.0, _mass(t))):
-            raise ValueError(f"pair {i} is no longer a product factor")
-        t = rest
-        axes.remove(i)
-        axes.remove(m0 + i)
-    return t.reshape(rows, 2 ** (t.ndim - 1))
-
-
-def _swap_outcomes(state: NetworkState, expect_fed: int) -> list[SwapOutcome]:
-    fed = [i for i, done in enumerate(state.fed) if done]
-    if len(fed) != expect_fed:
-        raise ValueError(f"swap needs exactly {expect_fed} fed photons, got {len(fed)}")
-    m = len(fed)
-    aborted, heralded, clicks = click_records(state.stack, state.lost, fed)
+def _swap_outcomes(state: NetworkState) -> list[SwapOutcome]:
+    m = state.num_pairs
+    if not all(state.fed):
+        raise ValueError(f"swap needs all {m} photons fed, got {sum(state.fed)}")
+    aborted, heralded, clicks = click_records(state.stack, state.lost, list(range(m)))
     outcomes = [SwapOutcome(r.fates, None, r.probability, None, None) for r in aborted]
-    comps, weights = _qd_readouts(_factor_out_unfed_pairs(state, state.stack.amps[heralded]))
-    for row, j in zip(*np.nonzero(weights > PRUNE_TOL)):  # comps: the fed spins
+    comps, weights = _qd_readouts(state.stack.amps[heralded])
+    for row, j in zip(*np.nonzero(weights > PRUNE_TOL)):  # comps: the remote spins
         w = float(weights[row, j])
         remote = QubitRegister(m, comps[row, :, j] / np.sqrt(w))
         predicted = classify(OutcomeRecord(clicks[row], QD_PAIRS[j], w), m)
@@ -154,11 +128,13 @@ def _swap_outcomes(state: NetworkState, expect_fed: int) -> list[SwapOutcome]:
 
 def bell_swap(state: NetworkState) -> list[SwapOutcome]:
     """Measure the QDs after two fed photons; remote pair collapses to a Bell state."""
-    return _swap_outcomes(state, expect_fed=2)
+    if state.num_pairs != 2:
+        raise ValueError("bell_swap needs a two-pair network")
+    return _swap_outcomes(state)
 
 
 def ghz_swap(state: NetworkState) -> list[SwapOutcome]:
     """Measure the QDs after three fed photons; remote triple collapses to a GHZ state."""
     if state.num_pairs != 3:
         raise ValueError("ghz_swap needs a three-pair network")
-    return _swap_outcomes(state, expect_fed=3)
+    return _swap_outcomes(state)

@@ -1,4 +1,4 @@
-"""Multi-qubit register algebra: GHZ/Bell constructors, Pauli/Hadamard maps, stabilizers.
+"""Multi-qubit registers: GHZ/Bell constructors, stabilizer syndromes, fidelity.
 
 Basis conventions, used everywhere in this package:
   photons  |H> = |0>, |V> = |1>
@@ -15,9 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ops import HADAMARD, PAULI_X, PAULI_Y, PAULI_Z, apply_single_qubit, norm2
+from ._ops import norm2
 
-NORM_TOL = 1e-12
 EIGENVALUE_TOL = 1e-9
 
 
@@ -43,11 +42,8 @@ class QubitRegister:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
-    def norm(self) -> float:
-        return float(np.sqrt(norm2(self.amplitudes)))
-
-    def is_normalized(self, tol: float = NORM_TOL) -> bool:
-        return abs(norm2(self.amplitudes) - 1.0) <= tol
+    def is_normalized(self) -> bool:
+        return abs(norm2(self.amplitudes) - 1.0) <= 1e-9
 
     def inner(self, other: "QubitRegister") -> complex:
         if other.num_qubits != self.num_qubits:
@@ -86,34 +82,12 @@ class GhzLabel:
         return self.bits[-1]
 
 
-@dataclass(frozen=True)
-class Syndrome:
-    """Joint stabilizer eigenvalues (s_1, ..., s_n), each +1 or -1."""
-
-    eigenvalues: tuple[int, ...]
-
-
-BELL_NAMES = ("phi+", "phi-", "psi+", "psi-")
-
 _BELL_LABELS = {
     "phi+": (0, 0),
     "phi-": (0, 1),
     "psi+": (1, 0),
     "psi-": (1, 1),
 }
-
-
-def basis_state(num_qubits: int, bits) -> QubitRegister:
-    """Computational basis ket |b_0 b_1 ... >."""
-    bits = tuple(bits)
-    if len(bits) != num_qubits:
-        raise ValueError("bit count does not match num_qubits")
-    amps = np.zeros(2 ** num_qubits, dtype=complex)
-    index = 0
-    for b in bits:
-        index = (index << 1) | int(b)
-    amps[index] = 1.0
-    return QubitRegister(num_qubits, amps)
 
 
 def ghz_state(n: int, label) -> QubitRegister:
@@ -138,7 +112,7 @@ def ghz_state(n: int, label) -> QubitRegister:
 def bell_state(kind: str) -> QubitRegister:
     """One of the four two-photon Bell states phi+/phi-/psi+/psi-."""
     if kind not in _BELL_LABELS:
-        raise ValueError(f"unknown Bell state {kind!r}, expected one of {BELL_NAMES}")
+        raise ValueError(f"unknown Bell state {kind!r}, expected one of {tuple(_BELL_LABELS)}")
     amps = np.zeros(4, dtype=complex)
     s = 1.0 / np.sqrt(2.0)
     if kind.startswith("phi"):
@@ -161,30 +135,6 @@ def bell_name(label: GhzLabel) -> str:
     raise ValueError(f"{label} is not a two-photon label")
 
 
-_PAULIS = {"x": PAULI_X, "y": PAULI_Y, "z": PAULI_Z}
-
-
-def apply_pauli(reg: QubitRegister, qubit: int, axis: str) -> QubitRegister:
-    """Apply sigma_x, sigma_y, or sigma_z to one qubit."""
-    if axis not in _PAULIS:
-        raise ValueError(f"axis must be one of 'x', 'y', 'z', got {axis!r}")
-    _check_qubit(reg, qubit)
-    amps = apply_single_qubit(reg.amplitudes, qubit, _PAULIS[axis])
-    return QubitRegister(reg.num_qubits, amps)
-
-
-def apply_hadamard(reg: QubitRegister, qubit: int) -> QubitRegister:
-    """|H> -> (|H>+|V>)/sqrt(2), |V> -> (|H>-|V>)/sqrt(2) on one qubit."""
-    _check_qubit(reg, qubit)
-    amps = apply_single_qubit(reg.amplitudes, qubit, HADAMARD)
-    return QubitRegister(reg.num_qubits, amps)
-
-
-def _check_qubit(reg: QubitRegister, qubit: int) -> None:
-    if not 0 <= qubit < reg.num_qubits:
-        raise ValueError(f"qubit {qubit} out of range for {reg.num_qubits} qubits")
-
-
 def _stabilizer_expectations(reg: QubitRegister) -> np.ndarray:
     n = reg.num_qubits
     amps = reg.amplitudes
@@ -202,21 +152,22 @@ def _stabilizer_expectations(reg: QubitRegister) -> np.ndarray:
     return vals
 
 
-def stabilizer_syndrome(reg: QubitRegister) -> Syndrome:
-    """Eigenvalues of (S_1 = all-X, S_k = Z_{k-1} Z_k) on a GHZ basis state.
+def stabilizer_syndrome(reg: QubitRegister) -> tuple[int, ...]:
+    """Eigenvalues (s_1, ..., s_n) of (S_1 = all-X, S_k = Z_{k-1} Z_k) on a GHZ basis state.
 
-    Raises NonEigenstateError when any expectation value is not within
-    EIGENVALUE_TOL of +/-1, i.e. the register is not a GHZ basis state.
+    Each s_k is +1 or -1. Raises NonEigenstateError when any expectation
+    value is not within EIGENVALUE_TOL of +/-1, i.e. the register is not a
+    GHZ basis state.
     """
     if reg.num_qubits < 2:
         raise ValueError("syndrome needs at least 2 qubits")
-    if not reg.is_normalized(tol=1e-9):
+    if not reg.is_normalized():
         raise ValueError("register must be normalized")
     vals = _stabilizer_expectations(reg)
     if np.any(np.abs(vals) < 1.0 - EIGENVALUE_TOL):
         raise NonEigenstateError(
             f"stabilizer expectations {np.round(vals, 6)} are not all +/-1")
-    return Syndrome(tuple(1 if v > 0 else -1 for v in vals))
+    return tuple(1 if v > 0 else -1 for v in vals)
 
 
 def fidelity(a: QubitRegister, b: QubitRegister) -> float:
@@ -225,12 +176,3 @@ def fidelity(a: QubitRegister, b: QubitRegister) -> float:
     if na == 0 or nb == 0:
         raise ValueError("fidelity of a zero vector is undefined")
     return float(abs(a.inner(b)) ** 2 / (na * nb))
-
-
-def equal_up_to_global_phase(a: np.ndarray, b: np.ndarray, tol: float = NORM_TOL) -> bool:
-    """True when the two (unnormalized) vectors agree up to one overall phase."""
-    na, nb = np.sqrt(norm2(a)), np.sqrt(norm2(b))
-    if na < tol or nb < tol:
-        return na < tol and nb < tol
-    return bool(abs(abs(np.vdot(a, b)) / (na * nb) - 1.0) <= tol
-                and abs(na - nb) <= tol * max(1.0, na))

@@ -8,6 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from ghzsim.states import QubitRegister
+
 SQ2 = 1.0 / np.sqrt(2.0)
 
 I2 = np.eye(2, dtype=complex)
@@ -28,6 +30,14 @@ def kron_chain(*ops: np.ndarray) -> np.ndarray:
     for op in ops:
         out = np.kron(out, op)
     return out
+
+
+def basis_state(num_qubits: int, bits) -> QubitRegister:
+    """Computational basis ket |b_0 b_1 ...> as a register, a product of literal kets."""
+    bits = tuple(bits)
+    if len(bits) != num_qubits:
+        raise ValueError("bit count does not match num_qubits")
+    return QubitRegister(num_qubits, kron_chain(*[(KET_H, KET_V)[b] for b in bits]))
 
 
 def op_on(n: int, single: np.ndarray, qubit: int) -> np.ndarray:

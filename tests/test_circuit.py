@@ -7,15 +7,15 @@ import pytest
 
 from ghzsim.circuit import (CONCLUSIVE_FATES, AnalyzerConfig, OutcomeRecord,
                             PhotonFate, _input_stack, _photon_step, _units,
-                            analyze_bell, classification_distribution, classify,
-                            conclusive_probability)
+                            classification_distribution, classify, conclusive_probability)
 from ghzsim import circuit
 from ghzsim.circuit import final_branches as circuit_final_branches
 from ghzsim.circuit import run_analyzer
 from ghzsim.scattering import (CavityQDParams, PulseSpectrum, ReflectionPair,
                                _hermite_nodes, average_efficiency, eta1, reflection_coeffs)
-from ghzsim.states import GhzLabel, QubitRegister, basis_state, bell_state, ghz_state
-from oracles import H, I2, KET_H, KET_MINUS, KET_PLUS, KET_V, SQ2, X, Z, kron_chain, op_on
+from ghzsim.states import GhzLabel, QubitRegister, bell_label, bell_state, ghz_state
+from oracles import (H, I2, KET_H, KET_MINUS, KET_PLUS, KET_V, SQ2, X, Z, basis_state,
+                     kron_chain, op_on)
 
 IDEAL = AnalyzerConfig(mode="ideal")
 STANDARD = CavityQDParams.resonant(g=30.0, kappa=90.0, kappa_s=30.0, gamma=0.3)
@@ -482,6 +482,14 @@ class TestFeedingOrder:
         with pytest.raises(ValueError):
             run_analyzer(ghz_state(2, (0, 0)), IDEAL, order=[0, 0])
 
+    @pytest.mark.parametrize("order", [[0, 0, 1], [0, 1]])
+    def test_final_branches_checks_order_like_run_analyzer(self, order):
+        # a repeated photon used to fail inside numpy, a missing one to leave
+        # photon 2 IN_CIRCUIT in every returned branch
+        for run in (run_analyzer, circuit_final_branches):
+            with pytest.raises(ValueError, match="order must be a permutation"):
+                run(ghz_state(3, (0, 0, 0)), AnalyzerConfig(), order=order)
+
 
 class TestMonteCarlo:
     def test_matches_exhaustive_within_3_sigma(self):
@@ -577,27 +585,29 @@ class TestClassify:
 
 
 class TestAnalyzeBell:
+    """Two-photon Bell analysis is the n = 2 GHZ analysis, labels keyed by `bell_label`."""
+
+    @staticmethod
+    def bell_distribution(photons, config):
+        return classification_distribution(run_analyzer(photons, config), 2)
+
     def test_table_distribution(self):
         for name in TABLE_BELL:
-            dist = analyze_bell(bell_state(name), IDEAL)
-            assert dist[name] == pytest.approx(1.0, abs=1e-12)
+            dist = self.bell_distribution(bell_state(name), IDEAL)
+            assert dist[str(bell_label(name))] == pytest.approx(1.0, abs=1e-12)
 
     def test_superposition_splits_evenly(self):
         amps = (bell_state("phi+").amplitudes + bell_state("psi+").amplitudes) / np.sqrt(2)
-        dist = analyze_bell(QubitRegister(2, amps), IDEAL)
-        assert dist["phi+"] == pytest.approx(0.5, abs=1e-12)
-        assert dist["psi+"] == pytest.approx(0.5, abs=1e-12)
+        dist = self.bell_distribution(QubitRegister(2, amps), IDEAL)
+        assert dist[str(bell_label("phi+"))] == pytest.approx(0.5, abs=1e-12)
+        assert dist[str(bell_label("psi+"))] == pytest.approx(0.5, abs=1e-12)
 
     def test_realistic_conclusive_matches_ideal_classification(self):
         config = AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.0)
         for name in TABLE_BELL:
-            dist = analyze_bell(bell_state(name), config)
+            dist = self.bell_distribution(bell_state(name), config)
             conclusive = sum(v for k, v in dist.items() if k != "inconclusive")
-            assert dist.get(name, 0.0) == pytest.approx(conclusive, abs=1e-12)
-
-    def test_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            analyze_bell(ghz_state(3, (0, 0, 0)), IDEAL)
+            assert dist.get(str(bell_label(name)), 0.0) == pytest.approx(conclusive, abs=1e-12)
 
 
 class TestValidation:

@@ -1,9 +1,11 @@
 import json
 import math
 import time
+import tracemalloc
 
 import pytest
 
+from ghzsim.circuit import AnalyzerConfig
 from ghzsim.cli import main, parse_state_spec
 from ghzsim.scattering import CavityQDParams, PulseSpectrum, average_efficiency, eta1
 from ghzsim.states import GhzLabel
@@ -258,6 +260,33 @@ class TestAnalyzeCommand:
         assert str(2 ** 31) in err
         assert "ROADMAP.md item 3" in err
 
+    def test_label_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # a 2^40 register cannot be allocated: refused from the label's length
+        code, text = run_cli(["analyze", "GHZ:" + "0" * 40], tmp_path, "a.json")
+        assert code == 2
+        assert text == ""
+        err = capsys.readouterr().err
+        assert "40 photons with 1 quadrature node(s)" in err
+        assert f"over the {2 ** 30}-byte budget" in err
+
+    @pytest.mark.parametrize("enumeration", ["exhaustive", "monte-carlo"])
+    def test_first_step_over_budget_exits_2_before_the_register(self, enumeration, tmp_path,
+                                                                 capsys):
+        # the 2^23 register fits, one node's first photon step does not
+        tracemalloc.start()
+        try:
+            code, text = run_cli(["analyze", "GHZ:" + "0" * 23, "--enumeration", enumeration],
+                                 tmp_path, "a.json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert text == ""
+        assert peak < 64 * 2 ** 20
+        err = capsys.readouterr().err
+        assert "23 photons with 1 quadrature node(s) need" in err
+        assert "bytes for a photon step on 1 rows" in err
+
     def test_monte_carlo_runs(self, tmp_path):
         code, text = run_cli(["analyze", "BELL:psi-", "--enumeration", "monte-carlo",
                               "--seed", "11", "--shots", "2000"], tmp_path, "a.json")
@@ -266,10 +295,10 @@ class TestAnalyzeCommand:
         assert doc["classification"]["11"] == pytest.approx(1.0, abs=1e-12)
 
     def test_state_grammar(self):
-        reg, label, name = parse_state_spec("GHZ:010")
+        reg, label, name = parse_state_spec("GHZ:010", AnalyzerConfig())
         assert label == GhzLabel((0, 1, 0))
         assert reg.num_qubits == 3
-        _, label, _ = parse_state_spec("BELL:psi-")
+        _, label, _ = parse_state_spec("BELL:psi-", AnalyzerConfig())
         assert label == GhzLabel((1, 1))
 
     @pytest.mark.parametrize("bad", ["GHZ:", "GHZ:012", "BELL:phi", "FOO:1",

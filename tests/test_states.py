@@ -4,11 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from ghzsim.states import (GhzLabel, NonEigenstateError, QubitRegister,
-                           apply_hadamard, apply_pauli, basis_state, bell_name,
-                           bell_state, equal_up_to_global_phase, ghz_state,
-                           stabilizer_syndrome)
-from oracles import (BELL_VECTORS, H, SQ2, X, Y, ghz_vector, kron_chain,
+from ghzsim.states import (GhzLabel, NonEigenstateError, QubitRegister, bell_name,
+                           bell_state, ghz_state, stabilizer_syndrome)
+from oracles import (BELL_VECTORS, H, SQ2, X, Y, basis_state, ghz_vector, kron_chain,
                      op_on, stabilizer_matrices, up_to_phase)
 
 
@@ -84,54 +82,17 @@ def bell_label_bits(name):
 
 
 class TestSingleQubitOps:
-    def test_pauli_x_flip(self):
-        reg = apply_pauli(basis_state(1, (0,)), 0, "x")
-        np.testing.assert_allclose(reg.amplitudes, [0, 1], atol=1e-15)
-
-    def test_pauli_z_sign(self):
-        reg = apply_pauli(basis_state(1, (1,)), 0, "z")
-        np.testing.assert_allclose(reg.amplitudes, [0, -1], atol=1e-15)
-
-    def test_pauli_y_phase(self):
-        reg = apply_pauli(basis_state(1, (0,)), 0, "y")
-        np.testing.assert_allclose(reg.amplitudes, [0, 1j], atol=1e-15)
-
-    def test_pauli_involutions(self):
-        rng = np.random.default_rng(3)
-        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
-        reg = QubitRegister(3, amps / np.linalg.norm(amps))
-        for axis in ("x", "z"):
-            twice = apply_pauli(apply_pauli(reg, 1, axis), 1, axis)
-            np.testing.assert_allclose(twice.amplitudes, reg.amplitudes, atol=1e-12)
-
-    def test_hadamard_on_v(self):
-        reg = apply_hadamard(basis_state(1, (1,)), 0)
-        np.testing.assert_allclose(reg.amplitudes, [SQ2, -SQ2], atol=1e-15)
-
-    def test_hadamard_involution(self):
-        rng = np.random.default_rng(5)
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        reg = QubitRegister(4, amps / np.linalg.norm(amps))
-        twice = apply_hadamard(apply_hadamard(reg, 2), 2)
-        np.testing.assert_allclose(twice.amplitudes, reg.amplitudes, atol=1e-12)
-
-    def test_qubit_range_checked(self):
-        with pytest.raises(ValueError):
-            apply_pauli(basis_state(2, (0, 0)), 2, "x")
-        with pytest.raises(ValueError):
-            apply_pauli(basis_state(2, (0, 0)), 0, "q")
-
     def test_hadamard_all_on_ghz3_matrix_oracle(self):
-        # brute-force 8x8 matrix product vs repeated apply_hadamard
-        reg = ghz_state(3, (0, 0, 0))
+        # one 8x8 matrix product vs a Hadamard on each photon in turn
+        amps = ghz_state(3, (0, 0, 0)).amplitudes
         for q in range(3):
-            reg = apply_hadamard(reg, q)
+            amps = op_on(3, H, q) @ amps
         oracle = kron_chain(H, H, H) @ ghz_vector((0, 0, 0))
-        np.testing.assert_allclose(reg.amplitudes, oracle, atol=1e-12)
+        np.testing.assert_allclose(amps, oracle, atol=1e-12)
         # (|HHH> + |HVV> + |VHV> + |VVH>)/2: the even-V-weight half
         expected = np.zeros(8, dtype=complex)
         expected[[0b000, 0b011, 0b101, 0b110]] = 0.5
-        np.testing.assert_allclose(reg.amplitudes, expected, atol=1e-12)
+        np.testing.assert_allclose(amps, expected, atol=1e-12)
 
 
 class TestGhzBasisStructure:
@@ -163,11 +124,9 @@ class TestGhzBasisStructure:
         rng = np.random.default_rng(n)
         labels = [tuple(int(b) for b in rng.integers(0, 2, n)) for _ in range(4)]
         labels += [(0,) * n, (0,) * (n - 1) + (1,)]
+        hadamards = kron_chain(*[H] * n)
         for bits in labels:
-            reg = ghz_state(n, bits)
-            for q in range(n):
-                reg = apply_hadamard(reg, q)
-            amps = reg.amplitudes
+            amps = hadamards @ ghz_state(n, bits).amplitudes
             weights = np.array([bin(i).count("1") for i in range(2 ** n)])
             live = np.abs(amps) > 1e-12
             assert np.all(weights[live] % 2 == bits[-1] % 2)
@@ -180,13 +139,10 @@ class TestGhzBasisStructure:
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_hadamard_round_trip(self, n):
+        hadamards = kron_chain(*[H] * n)
         for label in all_labels(n):
-            reg = ghz_state(n, label)
-            for _ in range(2):
-                for q in range(n):
-                    reg = apply_hadamard(reg, q)
-            np.testing.assert_allclose(reg.amplitudes, ghz_state(n, label).amplitudes,
-                                       atol=1e-12)
+            amps = ghz_state(n, label).amplitudes
+            np.testing.assert_allclose(hadamards @ (hadamards @ amps), amps, atol=1e-12)
 
 
 def closed_form_eigenvalues(bits):
@@ -208,10 +164,10 @@ class TestStabilizerSyndrome:
     def test_all_plus_for_ghz_zero(self):
         for n in (2, 3, 5):
             syn = stabilizer_syndrome(ghz_state(n, (0,) * n))
-            assert syn.eigenvalues == (1,) * n
+            assert syn == (1,) * n
 
     def test_psi_minus(self):
-        assert stabilizer_syndrome(bell_state("psi-")).eigenvalues == (-1, -1)
+        assert stabilizer_syndrome(bell_state("psi-")) == (-1, -1)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_matches_matrix_oracle_and_law(self, n):
@@ -221,14 +177,13 @@ class TestStabilizerSyndrome:
             oracle = tuple(
                 int(round(float(np.real(np.vdot(reg.amplitudes, m @ reg.amplitudes)))))
                 for m in mats)
-            syn = stabilizer_syndrome(reg).eigenvalues
+            syn = stabilizer_syndrome(reg)
             assert syn == oracle
             assert syn == closed_form_eigenvalues(label.bits)
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_injective_over_basis(self, n):
-        seen = {stabilizer_syndrome(ghz_state(n, label)).eigenvalues
-                for label in all_labels(n)}
+        seen = {stabilizer_syndrome(ghz_state(n, label)) for label in all_labels(n)}
         assert len(seen) == 2 ** n
 
     def test_non_eigenstate_rejected(self):
@@ -247,7 +202,6 @@ class TestStabilizerSyndrome:
 class TestPhaseComparison:
     def test_equal_up_to_global_phase(self):
         a = bell_state("psi-").amplitudes
-        assert equal_up_to_global_phase(a, -a)
-        assert equal_up_to_global_phase(a, 1j * a)
-        assert not equal_up_to_global_phase(a, bell_state("psi+").amplitudes)
         assert up_to_phase(a, -a)
+        assert up_to_phase(a, 1j * a)
+        assert not up_to_phase(a, bell_state("psi+").amplitudes)
