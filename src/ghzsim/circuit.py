@@ -23,7 +23,7 @@ fate and the polarization it was left in. Every row has fed the same
 photons, so all rows have one length. The swapping network runs the same
 photon step with its remote spins as extra leading qubits; the analyzer is
 that layout with no spins. Exhaustive runs keep every child row; a
-Monte-Carlo shot is a one-row stack that keeps one child per photon.
+Monte-Carlo run carries shots as rows, each keeping one drawn child per photon.
 `HybridState` is a per-branch view, built only for callers that ask for
 branches (`final_branches`, `NetworkState.branches`).
 
@@ -234,10 +234,11 @@ def _check_step(n: int, nodes: int, rows: int, dim: int, blocks: int, held: int 
 
 
 def _initial_stack(vec: np.ndarray, n: int, nodes: np.ndarray) -> BranchStack:
-    """One row of `vec` (spins, n photons, QD1, QD2) per quadrature node in `nodes`."""
+    """One row of `vec` (spins, n photons, QD1, QD2) per entry of `nodes`, as a read-only view."""
     rows = len(nodes)
-    return BranchStack(np.tile(vec, (rows, 1)), np.full((rows, n), _IN, np.int8),
-                       np.zeros((rows, n), np.int8), nodes, np.full(rows, norm2(vec)))
+    return BranchStack(np.broadcast_to(vec, (rows, len(vec))),
+                       np.full((rows, n), _IN, np.int8), np.zeros((rows, n), np.int8),
+                       nodes, np.full(rows, norm2(vec)))
 
 
 def _units(refl1: ReflectionPair, refl2: ReflectionPair):
@@ -285,8 +286,14 @@ _BLOCKS = {(errors, lossy): (np.array(([_D3, _D3] if errors else [])
            for errors in (False, True) for lossy in (False, True)}
 
 
+def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF choice per column of `weights` at uniforms `u`; a zero weight is never drawn."""
+    cum = np.cumsum(weights, axis=0)
+    return np.count_nonzero(cum <= u * cum[-1], axis=0)
+
+
 def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
-                 lost: list, held: int = 0) -> BranchStack:
+                 lost: list, held: int = 0, draws: np.ndarray | None = None) -> BranchStack:
     """One full analyzer pass of one photon in every row; returns the child rows.
 
     `units` holds the scattering factors of both detector units per
@@ -298,6 +305,9 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
     gets a record of its own. Records are appended to `lost` as (fates,
     weights, nodes) arrays. The run ends there and nothing more is tracked,
     so photons still IN_CIRCUIT in a loss record count as LOST (`_pack`).
+    Given `draws`, one uniform per row, a row instead keeps one child drawn
+    over its children and its scattering loss (`_draw`), renormalized, and
+    nothing is pruned; a drawn loss books a record of weight 1 (one shot).
     A step whose working set (`_step_bytes`) plus the `held` bytes the caller
     keeps besides the stack would pass MAX_STEP_BYTES raises `_OverBudget`
     before it allocates or books anything.
@@ -340,9 +350,14 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
         clicks *= math.sqrt(eta0)
     weight = _mass(kids, 2)  # (block, row)
     keep = weight > PRUNE_TOL
-    kept = np.count_nonzero(keep)
+    picked = np.flatnonzero(keep)
     pruned = []
-    if kept < keep.size:
+    if draws is not None:  # each row keeps one child; drawing its scattering loss ends it
+        pick = _draw(np.vstack((weight, lost_w)), draws)
+        lost_w = (pick == len(codes)).astype(float)  # the record of one shot
+        live = np.flatnonzero(pick < len(codes))
+        picked = pick[live] * rows + live
+    elif len(picked) < keep.size:
         # D3 children and whole clicks at or below PRUNE_TOL join the row's loss;
         # a kept click's D1 or LOST child at or below it is booked as it is
         whole = ~keep
@@ -365,15 +380,18 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
         fates[:, photon] = code
         lost.append((fates, w[mask], stack.node[mask]))
 
-    picked = np.flatnonzero(keep)
-    flat = kids.reshape(keep.size, -1)
-    amps = flat if kept == keep.size else flat[picked]
+    flat = kids.reshape(weight.size, -1)
+    amps = flat if len(picked) == weight.size else flat[picked]
     block, parent = np.divmod(picked, rows)
     fates = stack.fates[parent]
     fates[:, photon] = codes[block]
     child_pols = stack.pols[parent]
     child_pols[:, photon] = pols[block]
-    return BranchStack(amps, fates, child_pols, stack.node[parent], weight.ravel()[picked])
+    weight = weight.ravel()[picked]
+    if draws is not None:  # a shot's row stays normalized
+        amps /= np.sqrt(weight)[:, None]
+    return BranchStack(amps, fates, child_pols, stack.node[parent],
+                       weight if draws is None else np.ones(len(picked)))
 
 
 @dataclass(frozen=True)
@@ -432,14 +450,12 @@ def _records(keys: np.ndarray, probs: np.ndarray, n: int) -> list[OutcomeRecord]
             for row, p in zip(digits.tolist(), sums.tolist()) if p > 0.0]
 
 
-def _input_stack(photons: QubitRegister, nodes: np.ndarray) -> BranchStack:
-    vec = kron_all(photons.amplitudes, KET_PLUS, KET_PLUS)
-    return _initial_stack(vec, photons.num_qubits, nodes)
+def _evolve(vec: np.ndarray, units, eta0: float, order, book=None, draws=None):
+    """All photons through the pipeline, from one row of `vec` per node of `units`.
 
-
-def _evolve(photons: QubitRegister, units, eta0: float, order, book=None):
-    """All photons through the pipeline, one row per quadrature node to start.
-
+    Given `draws`, a (shots, n + 1) block of uniforms, the rows are shots
+    instead: a row's node indexes its uniforms (and its scattering factors in
+    a pulse run), and each step keeps one child per row (`_photon_step`).
     Yields the final rows: one stack when the run fits MAX_STEP_BYTES. Rows
     of different nodes never interact, so a step that would pass the budget
     runs on half of the stack's nodes while the other half waits its turn;
@@ -448,16 +464,18 @@ def _evolve(photons: QubitRegister, units, eta0: float, order, book=None):
     are checked before (`check_fits`). Each step's loss records go to `book`
     right after the step, or are dropped when it is None.
     """
-    todo = [(np.arange(units[2].shape[1]), None, 0)]  # (nodes, their rows, photons fed)
+    start = units[2].shape[1] if draws is None else len(draws)
+    todo = [(np.arange(start), None, 0)]  # (nodes, their rows, photons fed)
     while todo:
         ids, stack, fed = todo.pop()
         while fed < len(order):
             if stack is None:  # no photon fed yet: the rows are built only now
-                stack = _input_stack(photons, ids)
+                stack = _initial_stack(vec, len(order), ids)
             held = sum(s.nbytes for _, s, _ in todo if s is not None)
             lost: list = []
             try:
-                stack = _photon_step(stack, order[fed], units, eta0, lost, held)
+                stack = _photon_step(stack, order[fed], units, eta0, lost, held,
+                                     None if draws is None else draws[stack.node, fed])
             except _OverBudget:
                 if len(ids) == 1:
                     raise
@@ -520,21 +538,46 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
         raise ValueError("final_branches needs a monochromatic configuration")
     order = _feeding_order(photons, config, order)
     units = _units(*config.reflection_pairs())
-    return [branch for stack in _evolve(photons, units, config.eta0, order)
+    vec = kron_all(photons.amplitudes, KET_PLUS, KET_PLUS)
+    return [branch for stack in _evolve(vec, units, config.eta0, order)
             for branch in stack.views()]
 
 
-def _run_exhaustive(photons: QubitRegister, config: AnalyzerConfig, order):
-    """Exact records; a pulse's quadrature nodes run together as rows, in groups if need be."""
-    if config.spectrum is not None and config.mode == "realistic":
+# amplitudes of the rows a Monte-Carlo run carries at once: its shots go in groups
+# of this many amplitudes' worth of rows, so its memory does not grow with the shots
+_SHOT_BLOCK = 2 ** 16
+
+
+def _shot_groups(config: AnalyzerConfig, pulse: bool, n: int, shots: int):
+    """(units, node weights, draws) per group of shots; a pulse group draws each
+    shot's omega (the spectral density is a normal law with std sigma/sqrt2) first."""
+    rng = np.random.default_rng(config.seed)
+    size = max(1, _SHOT_BLOCK // (4 * 2 ** n))
+    units = None if pulse else _units(*config.reflection_pairs())
+    for start in range(0, shots, size):
+        rows = min(size, shots - start)
+        if pulse:
+            omegas = rng.normal(config.spectrum.omega_c,
+                                config.spectrum.sigma / np.sqrt(2.0), rows)
+            units = _units(*config.reflection_pairs(omegas))
+        yield units, np.ones(rows), rng.random((rows, n + 1))
+
+
+def _run(photons: QubitRegister, config: AnalyzerConfig, order, shots: int):
+    """Exact records, weighted by quadrature node, or the frequencies over `shots`
+    sampled rows (`_shot_groups`), each of which draws one QD pair at the end."""
+    n = photons.num_qubits
+    vec = kron_all(photons.amplitudes, KET_PLUS, KET_PLUS)
+    pulse = config.spectrum is not None and config.mode == "realistic"
+    sampled = config.enumeration == "monte-carlo"
+    if sampled:
+        groups = _shot_groups(config, pulse, n, shots)
+    elif pulse:
         x, w = _hermite_nodes(config.quad_nodes)
         omegas = config.spectrum.omega_c + config.spectrum.sigma * x
-        units = _units(*config.reflection_pairs(omegas))
-        node_weight = w / np.sqrt(np.pi)
+        groups = [(_units(*config.reflection_pairs(omegas)), w / np.sqrt(np.pi), None)]
     else:
-        units = _units(*config.reflection_pairs())
-        node_weight = np.ones(1)
-    n = photons.num_qubits
+        groups = [(_units(*config.reflection_pairs()), np.ones(1), None)]
     # the records so far, summed per key after every step: a run never holds
     # its loss rows, only one sum per record
     keys, probs = np.empty(0, np.int64), np.empty(0)
@@ -544,17 +587,22 @@ def _run_exhaustive(photons: QubitRegister, config: AnalyzerConfig, order):
         keys, probs = _sum_by_key(np.concatenate((keys, new_keys)),
                                   np.concatenate((probs, new_probs)))
 
-    def book(lost):
-        for fates, w, node in lost:
-            add(_pack(fates), w * node_weight[node])
+    for units, node_weight, draws in groups:
+        def book(lost):
+            for fates, w, node in lost:
+                add(_pack(fates), w * node_weight[node])
 
-    for stack in _evolve(photons, units, config.eta0, order, book):
-        weights = _qd_readouts(stack.amps)[1]
-        row, pair = np.nonzero(weights > PRUNE_TOL)
-        add(_pack(stack.fates)[row] + 1 + pair,
-            weights[row, pair] * node_weight[stack.node[row]])
-        del stack, weights, row, pair  # the next node group runs without them
-    return _records(keys, probs, n)
+        for stack in _evolve(vec, units, config.eta0, order, book, draws):
+            weights = _qd_readouts(stack.amps)[1]
+            if draws is None:
+                row, pair = np.nonzero(weights > PRUNE_TOL)
+                add(_pack(stack.fates)[row] + 1 + pair,
+                    weights[row, pair] * node_weight[stack.node[row]])
+            else:
+                pair = _draw(weights.T, draws[stack.node, n])
+                add(_pack(stack.fates) + 1 + pair, np.ones(len(stack)))
+            del stack, weights  # the next node group runs without them
+    return _records(keys, probs / shots if sampled else probs, n)
 
 
 def click_records(stack: BranchStack, lost: list, photons: list[int]):
@@ -576,54 +624,6 @@ def click_records(stack: BranchStack, lost: list, photons: list[int]):
                                for row in clicks[heralded].tolist()]
 
 
-def _sample_omega(rng, spectrum: PulseSpectrum) -> float:
-    # the spectral density is a normal law with std sigma/sqrt(2)
-    return rng.normal(spectrum.omega_c, spectrum.sigma / np.sqrt(2.0))
-
-
-def _pick(rng, weights) -> int:
-    cum = np.cumsum(weights)
-    return int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
-
-
-def _run_monte_carlo(photons: QubitRegister, config: AnalyzerConfig, shots, order):
-    """One trajectory per shot: a normalized one-row stack, a weighted pick per photon."""
-    rng = np.random.default_rng(config.seed)
-    counts: dict = {}  # (fates, QD code) -> shots
-    fixed = _units(*config.reflection_pairs()) if config.spectrum is None else None
-    init = _input_stack(photons, np.zeros(1, np.intp))
-    normalized = np.ones(1)
-    for _ in range(shots):
-        if fixed is None:
-            units = _units(*config.reflection_pairs(_sample_omega(rng, config.spectrum)))
-        else:
-            units = fixed
-        stack = init
-        for k in order:
-            lost: list = []
-            stack = _photon_step(stack, k, units, config.eta0, lost)
-            live = len(stack)
-            # a one-row step books at most one record per loss entry
-            weights = stack.weight.tolist() + [w[0] for _, w, _ in lost]
-            pick = _pick(rng, weights)
-            if pick >= live:  # loss terminates the shot
-                key = (tuple(_KEY_DIGITS[lost[pick - live][0][0]].tolist()), 0)
-                break
-            stack = BranchStack(stack.amps[pick:pick + 1] / math.sqrt(weights[pick]),
-                                stack.fates[pick:pick + 1], stack.pols[pick:pick + 1],
-                                stack.node[:1], normalized)
-        else:
-            weights = _qd_readouts(stack.amps)[1][0].tolist()
-            pairs = [j for j, w in enumerate(weights) if w > PRUNE_TOL]
-            pair = pairs[_pick(rng, [weights[j] for j in pairs])]
-            key = (tuple(stack.fates[0].tolist()), 1 + pair)
-        counts[key] = counts.get(key, 0) + 1
-    fates = np.array([f for f, _ in counts], dtype=np.int8)
-    keys = _pack(fates) + np.array([qd for _, qd in counts])
-    probs = np.fromiter(counts.values(), dtype=float, count=len(counts)) / shots
-    return _records(keys, probs, photons.num_qubits)
-
-
 def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
                  shots: int = 100_000, order=None) -> list[OutcomeRecord]:
     """Run the full analyzer on an n-photon register; returns outcome records.
@@ -634,11 +634,9 @@ def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
     sorted by (fate values, QD pair).
     """
     order = _feeding_order(photons, config, order)
-    if config.enumeration == "monte-carlo":
-        if shots < 1:
-            raise ValueError("shots must be >= 1")
-        return _run_monte_carlo(photons, config, shots, order)
-    return _run_exhaustive(photons, config, order)
+    if config.enumeration == "monte-carlo" and shots < 1:
+        raise ValueError("shots must be >= 1")
+    return _run(photons, config, order, shots)
 
 
 def classify(record: OutcomeRecord, n: int):

@@ -447,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, "csv")
     _add_scattering_flags(p)
     p.add_argument("--omega-range", default="-150:150:301",
-                   help="frequency sweep MIN:MAX:STEPS[:log] in ueV")
+                   help="frequency sweep MIN:MAX:STEPS[:log] in ueV; give a range "
+                        "that starts below zero with '=', as --omega-range=-300:300:601")
     p.set_defaults(func=cmd_reflection)
 
     p = subs.add_parser("efficiency-map", help="average efficiency over a coupling grid")

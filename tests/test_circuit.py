@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ghzsim.circuit import (CONCLUSIVE_FATES, AnalyzerConfig, OutcomeRecord,
-                            PhotonFate, _input_stack, _photon_step, _units,
+                            PhotonFate, _initial_stack, _photon_step, _units,
                             classification_distribution, classify, conclusive_probability)
 from ghzsim import circuit
 from ghzsim.circuit import final_branches as circuit_final_branches
@@ -62,8 +62,8 @@ def stacked_step(photon, refls):
     One row per entry of `refls`, each scattering with its own node's
     amplitudes; returns (child rows, loss weight per parent row).
     """
-    stack = _input_stack(QubitRegister(1, np.array(photon, dtype=complex)),
-                         np.arange(len(refls)))
+    stack = _initial_stack(kron_chain(np.array(photon, dtype=complex), KET_PLUS, KET_PLUS), 1,
+                           np.arange(len(refls)))
     units = _units(ReflectionPair(np.array([r.r0 for r in refls]), np.array([r.r1 for r in refls])),
                    ReflectionPair(np.array([r.r0 for r in refls]), np.array([r.r1 for r in refls])))
     lost: list = []
@@ -413,7 +413,8 @@ class TestMemoryBudget:
                                        [r.probability for r in reference], rtol=0, atol=1e-15)
         x, _ = _hermite_nodes(16)
         units = _units(*pulse.reflection_pairs(0.6 * x))
-        stacks = list(circuit._evolve(photons, units, 0.9, range(6)))
+        vec = kron_chain(photons.amplitudes, KET_PLUS, KET_PLUS)
+        stacks = list(circuit._evolve(vec, units, 0.9, range(6)))
         assert len(stacks) > 2
         assert sorted(np.concatenate([np.unique(s.node) for s in stacks])) == list(range(16))
 
@@ -428,7 +429,8 @@ class TestMemoryBudget:
             x, _ = _hermite_nodes(config.quad_nodes)
             units = _units(*config.reflection_pairs(0.6 * x))
         blocks = 6 if config.eta0 < 1.0 else 4
-        stack = _input_stack(ghz_state(n, (0,) * n), np.arange(units[2].shape[1]))
+        stack = _initial_stack(kron_chain(ghz_state(n, (0,) * n).amplitudes, KET_PLUS, KET_PLUS),
+                               n, np.arange(units[2].shape[1]))
         lost: list = []
         tracemalloc.start()
         try:
@@ -550,6 +552,58 @@ class TestMonteCarlo:
         p = average_efficiency(STANDARD, spec, 2)
         bound = 3.0 * np.sqrt(p * (1 - p) / 20_000)
         assert abs(conclusive_probability(records) - p) <= bound
+
+    def test_sampler_keeps_d3_and_lost_children_alive(self):
+        # D3 children and failed clicks (eta0 < 1) keep feeding photons; only
+        # scattering loss ends a shot, so every sampled key must be an exact
+        # record, and every likely one must land within 4 sigma of it
+        shots = 20_000
+        exhaustive = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=0.5, eta0=0.8)
+        sampling = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=0.5, eta0=0.8,
+                                  enumeration="monte-carlo", seed=11)
+        photons = ghz_state(4, (0, 1, 1, 0))
+        exact = {(r.fates, r.qd_readout): r.probability
+                 for r in run_analyzer(photons, exhaustive)}
+        sampled = {(r.fates, r.qd_readout): r.probability
+                   for r in run_analyzer(photons, sampling, shots=shots)}
+        assert any(PhotonFate.D3 in fates and qd is not None for fates, qd in exact)
+        assert any(PhotonFate.LOST in fates and qd is not None for fates, qd in exact)
+        for key in sampled:
+            assert exact.get(key, 0.0) > 0.0, key
+        for key, p in exact.items():
+            if p > 1e-3:
+                bound = 4.0 * np.sqrt(p * (1 - p) / shots)
+                assert abs(sampled.get(key, 0.0) - p) <= bound, key
+
+    @pytest.mark.parametrize("config", [
+        AnalyzerConfig(mode="ideal", enumeration="monte-carlo", seed=3),
+        AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=0.5, eta0=0.9,
+                       enumeration="monte-carlo", seed=3),
+        AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, eta0=0.9, enumeration="monte-carlo",
+                       seed=3, spectrum=PulseSpectrum(omega_c=0.0, sigma=0.6)),
+    ])
+    def test_records_do_not_depend_on_the_budget(self, config, monkeypatch):
+        # a group of 512 shots at n = 5 passes a 1 MB budget, so its rows are
+        # carried in smaller parts; every shot keeps its own draws
+        photons = ghz_state(5, (1, 0, 1, 1, 0))
+        reference = run_analyzer(photons, config, shots=5000)
+        assert circuit._step_bytes(circuit._SHOT_BLOCK // 128, 128, 2, 5) > 2 ** 20
+        monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 2 ** 20)
+        assert run_analyzer(photons, config, shots=5000) == reference
+
+    def test_memory_does_not_grow_with_shots(self):
+        config = AnalyzerConfig(mode="ideal", enumeration="monte-carlo", seed=4)
+
+        def peak(shots):
+            tracemalloc.start()
+            try:
+                run_analyzer(bell_state("psi-"), config, shots=shots)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert abs(peak(100_000) - peak(10_000)) <= 2 ** 20
+
 
 
 class TestClassify:

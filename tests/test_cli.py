@@ -63,6 +63,14 @@ class TestReflectionCommand:
         params = CavityQDParams.resonant(g=30.0, kappa=270.0, kappa_s=30.0, gamma=0.3)
         assert float(rows[0]["eta1"]) == pytest.approx(eta1(params, 0.0), rel=1e-12)
 
+    def test_range_below_zero_is_given_with_equals(self, tmp_path):
+        # "--omega-range -300:300:601" reads the value as an option (exit 2)
+        code, text = run_cli(["reflection", "--omega-range=-300:300:601"], tmp_path)
+        assert code == 0
+        rows = csv_rows(text)
+        assert len(rows) == 601
+        assert (float(rows[0]["omega_ueV"]), float(rows[-1]["omega_ueV"])) == (-300.0, 300.0)
+
 
 class TestEfficiencyMapCommand:
     def test_spot_values(self, tmp_path):
