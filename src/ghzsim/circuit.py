@@ -35,6 +35,7 @@ per key after every step rather than kept per row.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -47,10 +48,10 @@ from .states import GhzLabel, QubitRegister
 
 PRUNE_TOL = 1e-15
 
-# most bytes a run may hold at once: the whole initial array, or one photon
-# step's working set plus the rows waiting their turn (`_step_bytes`); a
-# larger step is run on fewer quadrature nodes at a time, and a run that does
-# not fit even so is refused before it allocates, not left to the OOM killer
+# most bytes a run may hold at once: one photon step's working set plus the
+# rows waiting their turn (`_step_bytes`); a larger step is run on fewer
+# quadrature nodes at a time, and a run that does not fit even so is refused
+# before it allocates, not left to the OOM killer
 MAX_STEP_BYTES = 2 ** 30
 
 INCONCLUSIVE = "inconclusive"
@@ -441,13 +442,82 @@ def _sum_by_key(keys: np.ndarray, probs: np.ndarray):
     return unique, np.bincount(inverse, weights=probs, minlength=len(unique))
 
 
-def _records(keys: np.ndarray, probs: np.ndarray, n: int) -> list[OutcomeRecord]:
+# phase bit of each QD code (0 for a run that ended in loss, else 1 + its index in
+# QD_PAIRS) by the parity of n, -1 where the pair is not a valid readout
+_PHASE = np.array([[-1, 0, -1, -1, 1],   # even n: |++> and |-->
+                   [-1, -1, 0, 1, -1]])  # odd n: |+-> and |-+>
+
+
+@dataclass(frozen=True, eq=False)
+class Records(Sequence):
+    """Outcome records of a run as arrays; its items are `OutcomeRecord` views.
+
+    digits : (R, n + 1) int8 fate code (index into `_FATES`) of every photon,
+             then the QD code: 0 for a run that ended in loss, else 1 + the
+             pair's index in QD_PAIRS
+    probs  : (R,) probability of each record
+    """
+
+    digits: np.ndarray
+    probs: np.ndarray
+
+    @classmethod
+    def of(cls, records) -> Records:
+        """`records` itself if it is a `Records`, else the arrays of its `OutcomeRecord`s."""
+        if isinstance(records, Records):
+            return records
+        rows = [[_FATES.index(f) for f in r.fates]
+                + [QD_PAIRS.index(r.qd_readout) + 1 if r.qd_readout else 0] for r in records]
+        return cls(np.array(rows, np.int8).reshape(len(rows), -1 if rows else 1),
+                   np.array([r.probability for r in records], dtype=float))
+
+    def __len__(self) -> int:
+        return len(self.probs)
+
+    def __getitem__(self, i: int) -> OutcomeRecord:
+        return _record(self.digits[i].tolist(), float(self.probs[i]))
+
+    def __iter__(self):
+        return map(_record, self.digits.tolist(), self.probs.tolist())
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (Records, list)) else NotImplemented
+
+    def decode(self) -> tuple[np.ndarray, np.ndarray]:
+        """(conclusive, label) per record: the paper's classification rule.
+
+        A record is conclusive when every photon clicked D1 (H, bit 0) or D2
+        (V, bit 1). Label bit i_j is the parity of photons j and n; the phase
+        bit comes from the QD pair, whose valid values depend on the parity of
+        n: |++>/|--> for even n, |+->/|-+> for odd n. The label is the GHZ
+        label's bits as an integer, i_1 first, or -1 when the record is
+        inconclusive or its QD pair has the wrong parity.
+        """
+        n = self.digits.shape[1] - 1
+        bits = self.digits[:, :n]
+        conclusive = _clicked(bits)
+        lead = bits[:, :-1] ^ bits[:, -1:]
+        phase = _PHASE[n % 2][self.digits[:, n]]
+        labels = lead @ 2 ** np.arange(n - 1, 0, -1) + phase
+        return conclusive, np.where(conclusive & (phase >= 0), labels, -1)
+
+
+def _clicked(fates: np.ndarray) -> np.ndarray:
+    """Rows of fate codes in which every photon clicked D1 or D2."""
+    return np.all(fates <= _D2, axis=1)
+
+
+def _record(row: list, probability: float) -> OutcomeRecord:
+    return OutcomeRecord(tuple(_FATES[c] for c in row[:-1]),
+                         QD_PAIRS[row[-1] - 1] if row[-1] else None, probability)
+
+
+def _records(keys: np.ndarray, probs: np.ndarray, n: int) -> Records:
     """Sum probabilities per packed key; records come sorted by (fate values, QD pair)."""
     unique, sums = _sum_by_key(keys, probs)
-    digits = unique[:, None] // 5 ** np.arange(n, -1, -1) % 5  # photons, then QD code
-    return [OutcomeRecord(tuple(_FATES[c] for c in row[:-1]),
-                          QD_PAIRS[row[-1] - 1] if row[-1] else None, p)
-            for row, p in zip(digits.tolist(), sums.tolist()) if p > 0.0]
+    kept = sums > 0.0
+    digits = unique[kept, None] // 5 ** np.arange(n, -1, -1) % 5  # photons, then QD code
+    return Records(digits.astype(np.int8), sums[kept])
 
 
 def _evolve(vec: np.ndarray, units, eta0: float, order, book=None, draws=None):
@@ -460,9 +530,10 @@ def _evolve(vec: np.ndarray, units, eta0: float, order, book=None, draws=None):
     of different nodes never interact, so a step that would pass the budget
     runs on half of the stack's nodes while the other half waits its turn;
     the halves are carried to the end one after the other. A step that
-    passes the budget on a single node's rows is refused; the initial rows
-    are checked before (`check_fits`). Each step's loss records go to `book`
-    right after the step, or are dropped when it is None.
+    passes the budget on a single node's rows is refused; `check_fits`
+    refuses a run whose first step does so before it starts. Each step's
+    loss records go to `book` right after the step, or are dropped when it
+    is None.
     """
     start = units[2].shape[1] if draws is None else len(draws)
     todo = [(np.arange(start), None, 0)]  # (nodes, their rows, photons fed)
@@ -497,18 +568,15 @@ def _evolve(vec: np.ndarray, units, eta0: float, order, book=None, draws=None):
 def check_fits(n: int, config: AnalyzerConfig) -> None:
     """Refuse an n-photon run before it allocates if one node cannot fit MAX_STEP_BYTES.
 
-    Counts the initial rows (one per node of an exhaustive pulse run) and one
-    node's first photon step with the fewest children a step makes, so a run
-    refused here would be refused at that step anyway.
+    Counts one node's first photon step with the fewest children a step
+    makes, so a run refused here would be refused at that step anyway. The
+    initial rows of every node are read-only views of one vector
+    (`_initial_stack`), which that step's parent rows already count.
     """
     pulse = (config.spectrum is not None and config.mode == "realistic"
              and config.enumeration == "exhaustive")
-    nodes = config.quad_nodes if pulse else 1
-    dim = 4 * 2 ** n
-    need = nodes * dim * 16
-    if need > MAX_STEP_BYTES:
-        raise _refuse(n, nodes, f"need a {need}-byte branch array")
-    _check_step(n, nodes, 1, dim, len(_BLOCKS[False, config.eta0 < 1.0][0]))
+    _check_step(n, config.quad_nodes if pulse else 1, 1, 4 * 2 ** n,
+                len(_BLOCKS[False, config.eta0 < 1.0][0]))
 
 
 def _feeding_order(photons: QubitRegister, config: AnalyzerConfig, order) -> list[int]:
@@ -611,27 +679,27 @@ def click_records(stack: BranchStack, lost: list, photons: list[int]):
     Returns (aborted, heralded, clicks): the records, summed per click record
     over `photons` and with no QD readout, of every branch that ended in loss
     or where one of them did not click D1 or D2; the indices of the live rows
-    where each of them clicked D1 or D2; and those rows' clicks.
+    where each of them clicked D1 or D2; and those rows' fate codes of them.
     """
     clicks = stack.fates[:, photons]
-    conclusive = np.all(clicks <= _D2, axis=1)
+    conclusive = _clicked(clicks)
     aborted = [(fates[:, photons], w) for fates, w, _ in lost]
     aborted.append((clicks[~conclusive], stack.weight[~conclusive]))
     records = _records(np.concatenate([_pack(fates) for fates, _ in aborted]),
                        np.concatenate([w for _, w in aborted]), len(photons))
     heralded = np.flatnonzero(conclusive)
-    return records, heralded, [tuple(_FATES[c] for c in row)
-                               for row in clicks[heralded].tolist()]
+    return records, heralded, clicks[heralded]
 
 
 def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
-                 shots: int = 100_000, order=None) -> list[OutcomeRecord]:
-    """Run the full analyzer on an n-photon register; returns outcome records.
+                 shots: int = 100_000, order=None) -> Records:
+    """Run the full analyzer on an n-photon register; returns its outcome records.
 
-    Exhaustive enumeration returns every branch with its exact probability;
-    monte-carlo returns observed frequencies over `shots` samples. `order`
-    optionally permutes the feeding sequence of the photons. Records come
-    sorted by (fate values, QD pair).
+    They are a `Records` sequence, arrays whose items are `OutcomeRecord`
+    views. Exhaustive enumeration returns every branch with its exact
+    probability; monte-carlo returns observed frequencies over `shots`
+    samples. `order` optionally permutes the feeding sequence of the photons.
+    Records come sorted by (fate values, QD pair).
     """
     order = _feeding_order(photons, config, order)
     if config.enumeration == "monte-carlo" and shots < 1:
@@ -639,38 +707,34 @@ def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
     return _run(photons, config, order, shots)
 
 
-def classify(record: OutcomeRecord, n: int):
-    """Map one outcome record to a GHZ label, or None when inconclusive.
+def _ghz_label(label: int, n: int) -> GhzLabel | None:
+    """The GHZ label of an integer label from `Records.decode`; None for -1."""
+    return None if label < 0 else GhzLabel.from_string(format(label, f"0{n}b"))
 
-    Photon j at D1 means H, at D2 means V; bit i_j is the parity of photons
-    j and n. The phase bit comes from the QD pair, whose valid values depend
-    on the parity of n: |++>/|--> for even n, |+->/|-+> for odd n.
-    """
+
+def classify(record: OutcomeRecord, n: int):
+    """Map one outcome record to a GHZ label, or None when inconclusive (`Records.decode`)."""
     if len(record.fates) != n:
         raise ValueError(f"record covers {len(record.fates)} photons, expected {n}")
-    if not record.conclusive or record.qd_readout is None:
-        return None
-    b = [0 if f is PhotonFate.D1 else 1 for f in record.fates]
-    lead = tuple(bj ^ b[-1] for bj in b[:-1])
-    parity_map = ({("+", "+"): 0, ("-", "-"): 1} if n % 2 == 0
-                  else {("+", "-"): 0, ("-", "+"): 1})
-    phase = parity_map.get(record.qd_readout)
-    if phase is None:
-        return None
-    return GhzLabel(lead + (phase,))
+    return _ghz_label(int(Records.of([record]).decode()[1][0]), n)
 
 
-def conclusive_probability(records: list[OutcomeRecord]) -> float:
-    """Probability that every photon lands on D1 or D2."""
-    return sum(r.probability for r in records if r.conclusive)
+def conclusive_probability(records) -> float:
+    """Probability that every photon lands on D1 or D2, summed in record order."""
+    records = Records.of(records)
+    return sum(records.probs[records.decode()[0]].tolist())
 
 
-def classification_distribution(records: list[OutcomeRecord], n: int) -> dict[str, float]:
-    """Probabilities per GHZ label string, with inconclusive mass pooled."""
-    out: dict[str, float] = {}
-    for r in records:
-        label = classify(r, n)
-        key = INCONCLUSIVE if label is None else str(label)
-        out[key] = out.get(key, 0.0) + r.probability
-    return dict(sorted(out.items()))
-
+def classification_distribution(records, n: int) -> dict[str, float]:
+    """Probabilities per GHZ label string, with inconclusive mass pooled; sorted by key."""
+    records = Records.of(records)
+    if not len(records):
+        return {}
+    if records.digits.shape[1] != n + 1:
+        raise ValueError(f"records cover {records.digits.shape[1] - 1} photons, expected {n}")
+    found, index = np.unique(records.decode()[1], return_inverse=True)
+    sums = np.bincount(index, weights=records.probs).tolist()  # in record order per label
+    out = {format(label, f"0{n}b"): p for label, p in zip(found.tolist(), sums) if label >= 0}
+    if found[0] < 0:  # "inconclusive" sorts after every bit string
+        out[INCONCLUSIVE] = sums[0]
+    return out

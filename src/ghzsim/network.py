@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ops import KET_PLUS, SQRT_HALF, kron_all
-from .circuit import (PRUNE_TOL, QD_PAIRS, AnalyzerConfig, BranchStack, HybridState,
-                      OutcomeRecord, _initial_stack, _photon_step, _qd_readouts, _units,
-                      classify, click_records)
+from .circuit import (PRUNE_TOL, AnalyzerConfig, BranchStack, HybridState, Records,
+                      _ghz_label, _initial_stack, _photon_step, _qd_readouts, _units,
+                      click_records)
 from .states import GhzLabel, QubitRegister
 
 
@@ -117,11 +117,13 @@ def _swap_outcomes(state: NetworkState) -> list[SwapOutcome]:
     aborted, heralded, clicks = click_records(state.stack, state.lost, list(range(m)))
     outcomes = [SwapOutcome(r.fates, None, r.probability, None, None) for r in aborted]
     comps, weights = _qd_readouts(state.stack.amps[heralded])
-    for row, j in zip(*np.nonzero(weights > PRUNE_TOL)):  # comps: the remote spins
-        w = float(weights[row, j])
-        remote = QubitRegister(m, comps[row, :, j] / np.sqrt(w))
-        predicted = classify(OutcomeRecord(clicks[row], QD_PAIRS[j], w), m)
-        outcomes.append(SwapOutcome(clicks[row], QD_PAIRS[j], w, remote, predicted))
+    row, pair = np.nonzero(weights > PRUNE_TOL)  # comps: the remote spins
+    found = Records(np.column_stack((clicks[row], pair + 1)).astype(np.int8),
+                    weights[row, pair])
+    for r, i, j, label in zip(found, row.tolist(), pair.tolist(), found.decode()[1].tolist()):
+        remote = QubitRegister(m, comps[i, :, j] / np.sqrt(r.probability))
+        outcomes.append(SwapOutcome(r.fates, r.qd_readout, r.probability, remote,
+                                    _ghz_label(label, m)))
     return sorted(outcomes, key=lambda o: (tuple(c.value for c in o.clicks),
                                            o.qd_readout or ()))
 

@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ghzsim.states import QubitRegister
+from ghzsim.circuit import PhotonFate
+from ghzsim.states import GhzLabel, QubitRegister
 
 SQ2 = 1.0 / np.sqrt(2.0)
 
@@ -178,3 +179,22 @@ def expected_phi3() -> np.ndarray:
             out += s * kron_chain(ghz_vector((i, j, 1)), ghz_vector((i, j, 0)),
                                   KET_MINUS, KET_PLUS)
     return out
+
+
+def reference_label(record, n: int):
+    """The paper's classification rule for one record, written out per photon.
+
+    Photon j at D1 means H (0), at D2 V (1); bit i_j is the parity of photons
+    j and n, and the phase bit comes from the QD pair: |++> -> 0, |--> -> 1
+    for even n, |+-> -> 0, |-+> -> 1 for odd n. None when inconclusive.
+    """
+    if record.qd_readout is None:
+        return None
+    if any(f not in (PhotonFate.D1, PhotonFate.D2) for f in record.fates):
+        return None
+    b = [0 if f is PhotonFate.D1 else 1 for f in record.fates]
+    phases = ({("+", "+"): 0, ("-", "-"): 1} if n % 2 == 0
+              else {("+", "-"): 0, ("-", "+"): 1})
+    if record.qd_readout not in phases:
+        return None
+    return GhzLabel(tuple(bj ^ b[-1] for bj in b[:-1]) + (phases[record.qd_readout],))

@@ -4,6 +4,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ghzsim.circuit import (CONCLUSIVE_FATES, AnalyzerConfig, OutcomeRecord,
                             PhotonFate, _initial_stack, _photon_step, _units,
@@ -15,7 +17,7 @@ from ghzsim.scattering import (CavityQDParams, PulseSpectrum, ReflectionPair,
                                _hermite_nodes, average_efficiency, eta1, reflection_coeffs)
 from ghzsim.states import GhzLabel, QubitRegister, bell_label, bell_state, ghz_state
 from oracles import (H, I2, KET_H, KET_MINUS, KET_PLUS, KET_V, SQ2, X, Z, basis_state,
-                     kron_chain, op_on)
+                     kron_chain, op_on, reference_label)
 
 IDEAL = AnalyzerConfig(mode="ideal")
 STANDARD = CavityQDParams.resonant(g=30.0, kappa=90.0, kappa_s=30.0, gamma=0.3)
@@ -689,3 +691,80 @@ class TestValidation:
         dist = classification_distribution(records, 2)
         assert set(dist) == {"00", "inconclusive"}
         assert sum(dist.values()) == pytest.approx(1.0, abs=1e-10)
+
+
+class TestRecordArrays:
+    """`Records.decode` against the per-record rule of `oracles.reference_label`."""
+
+    @staticmethod
+    def config(kind: str, omega: float) -> AnalyzerConfig:
+        if kind == "ideal":
+            return IDEAL
+        if kind == "detuned":
+            return AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=omega, eta0=0.9)
+        return AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, quad_nodes=8,
+                              spectrum=PulseSpectrum(omega_c=0.0, sigma=0.6))
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(2, 7),
+           kind=st.sampled_from(["ideal", "detuned", "pulse"]),
+           omega=st.floats(-5.0, 5.0), seed=st.none() | st.integers(0, 2 ** 16))
+    def test_labels_distribution_and_conclusive_mass_match_per_record_code(
+            self, data, n, kind, omega, seed):
+        # a GHZ input has two conclusive records of equal probability; a random
+        # superposition has many unequal ones, whose sum depends on its order
+        # (up to n = 5, where its records stay in the low thousands)
+        bits = data.draw(st.tuples(*[st.integers(0, 1)] * n), label="bits")
+        photons = ghz_state(n, bits) if seed is None or n > 5 else random_register(n, seed)
+        records = run_analyzer(photons, self.config(kind, omega))
+        expected = [reference_label(r, n) for r in records]
+        assert [classify(r, n) for r in records] == expected
+        labels = records.decode()[1].tolist()
+        assert [None if v < 0 else GhzLabel.from_string(format(v, f"0{n}b"))
+                for v in labels] == expected
+        dist: dict = {}
+        for r, label in zip(records, expected):
+            key = "inconclusive" if label is None else str(label)
+            dist[key] = dist.get(key, 0.0) + r.probability
+        assert classification_distribution(records, n) == dict(sorted(dist.items()))
+        assert list(classification_distribution(records, n)) == sorted(dist)
+        reference = sum(r.probability for r, label in zip(records, expected)
+                        if all(f in CONCLUSIVE_FATES for f in r.fates))
+        assert conclusive_probability(records) == reference
+        assert conclusive_probability(list(records)) == reference
+        if kind != "ideal":  # D3 and LOST records are present and inconclusive
+            assert any(label is None and r.qd_readout is not None for r, label
+                       in zip(records, expected))
+
+    def test_records_are_views_of_the_arrays(self):
+        config = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=1.0, eta0=0.9)
+        records = run_analyzer(ghz_state(3, (0, 1, 1)), config)
+        views = list(records)
+        assert len(views) == len(records) == len(records.probs)
+        assert records[0] == views[0] and records[-1] == views[-1]
+        assert records == views and records == run_analyzer(ghz_state(3, (0, 1, 1)), config)
+        assert all(type(r.probability) is float for r in views)
+        assert {f for r in views for f in r.fates} == {PhotonFate.D1, PhotonFate.D2,
+                                                      PhotonFate.D3, PhotonFate.LOST}
+
+
+class TestCheckFits:
+    def test_initial_rows_count_as_one_vector(self, monkeypatch):
+        # a QD-less cavity sends every photon to D3, so rows x amplitudes stay
+        # flat over the run: one node's rows fit where the 64 nodes' initial
+        # rows counted as full copies would not
+        dark = AnalyzerConfig(mode="realistic", quad_nodes=64,
+                              qnd1=CavityQDParams.resonant(g=0.0, kappa=270.0,
+                                                           kappa_s=30.0, gamma=0.3),
+                              spectrum=PulseSpectrum(omega_c=0.0, sigma=0.6))
+        photons = ghz_state(7, (0, 1, 0, 1, 1, 0, 1))
+        reference = run_analyzer(photons, dark)
+        dim = 4 * 2 ** 7
+        budget = 400_000
+        assert dim * 16 + circuit._step_bytes(1, dim, 2, 7) < budget < 64 * dim * 16
+        monkeypatch.setattr(circuit, "MAX_STEP_BYTES", budget)
+        circuit.check_fits(7, dark)
+        got = run_analyzer(photons, dark)  # in node groups, so sums differ in the last bits
+        assert [(r.fates, r.qd_readout) for r in got] == \
+            [(r.fates, r.qd_readout) for r in reference]
+        np.testing.assert_allclose(got.probs, reference.probs, rtol=0, atol=1e-15)

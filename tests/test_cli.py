@@ -1,14 +1,20 @@
+import importlib
+import importlib.util
 import json
 import math
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from ghzsim.circuit import AnalyzerConfig
-from ghzsim.cli import main, parse_state_spec
+from ghzsim import circuit
+from ghzsim.circuit import AnalyzerConfig, run_analyzer
+from ghzsim.cli import (_analyzer_config, _fmt, _settings, build_parser, cmd_analyze, main,
+                        parse_state_spec)
 from ghzsim.scattering import CavityQDParams, PulseSpectrum, average_efficiency, eta1
 from ghzsim.states import GhzLabel
+from oracles import reference_label
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -256,16 +262,18 @@ class TestAnalyzeCommand:
         assert "2..256" in capsys.readouterr().err
 
     def test_branch_array_over_budget_exits_2_before_running(self, tmp_path, capsys):
-        # 256 rows of a 2^17 x 4 vector are 2 GiB before the first photon
+        # the 256 nodes' initial rows are views of one 2^24-amplitude vector, so
+        # the run is judged by one node's first photon step, which passes 1 GiB
+        need = circuit._step_bytes(1, 4 * 2 ** 22, 2, 22)
         start = time.perf_counter()
-        code, text = run_cli(["analyze", "GHZ:" + "0" * 17, "--mode", "realistic",
+        code, text = run_cli(["analyze", "GHZ:" + "0" * 22, "--mode", "realistic",
                               "--sigma", "0.6", "--quad-nodes", "256"], tmp_path, "a.json")
         assert time.perf_counter() - start < 10.0
         assert code == 2
         assert text == ""
         err = capsys.readouterr().err
-        assert "17 photons with 256 quadrature node(s)" in err
-        assert str(2 ** 31) in err
+        assert (f"22 photons with 256 quadrature node(s) need {need} bytes for a photon "
+                f"step on 1 rows of {4 * 2 ** 22} amplitudes") in err
         assert "ROADMAP.md item 3" in err
 
     def test_label_too_large_to_allocate_exits_2(self, tmp_path, capsys):
@@ -320,6 +328,77 @@ class TestAnalyzeCommand:
         assert code == 0
         rows = csv_rows(text)
         assert {r["classified"] for r in rows if float(r["probability"]) > 1e-9} == {"01"}
+
+
+FIG5 = ["--mode", "realistic", "--g", "30", "--kappa", "270", "--kappa-s", "30", "--gamma", "0.3"]
+
+
+class TestAnalyzeRendering:
+    """analyze output against text built here from the records' `OutcomeRecord` fields."""
+
+    @staticmethod
+    def expected(argv, fmt):
+        args = build_parser().parse_args(argv)
+        report = cmd_analyze(args)  # the metadata and the summary values
+        config = _analyzer_config(_settings(args), args)
+        photons, _, _ = parse_state_spec(args.state, config)
+        n = photons.num_qubits
+        rows = []
+        for r in run_analyzer(photons, config, shots=args.shots):
+            label = reference_label(r, n)
+            rows.append({"fates": "/".join(f.value for f in r.fates),
+                         "pattern": r.pattern() if r.conclusive else "",
+                         "qd": "".join(r.qd_readout) if r.qd_readout else "",
+                         "probability": r.probability,
+                         "classified": "inconclusive" if label is None else str(label)})
+        if fmt == "json":
+            return json.dumps({"metadata": report.metadata, **report.payload, "outcomes": rows},
+                              indent=2) + "\n"
+        columns = list(rows[0])
+        cells = [[_fmt(row[c]) for c in columns] for row in rows]
+        if fmt == "csv":
+            lines = [f"# {k}={_fmt(v)}" for k, v in report.metadata.items()]
+            lines += [",".join(columns)] + [",".join(c) for c in cells]
+        else:
+            lines = [f"- {k}: {_fmt(v)}" for k, v in report.metadata.items()]
+            lines += ["", "| " + " | ".join(columns) + " |",
+                      "|" + "|".join(" --- " for _ in columns) + "|"]
+            lines += ["| " + " | ".join(c) + " |" for c in cells]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["analyze", "BELL:psi-"], id="bell"),
+        pytest.param(["analyze", "GHZ:011"], id="ghz-odd"),
+        pytest.param(["analyze", "GHZ:0110", *FIG5, "--eta0", "0.8", "--omega", "0",
+                      "--enumeration", "monte-carlo", "--shots", "500", "--seed", "3"],
+                     id="monte-carlo"),
+        pytest.param(["analyze", "GHZ:01101", *FIG5, "--eta0", "0.9", "--omega", "1.5"],
+                     id="eta0-0.9"),
+    ])
+    def test_output_matches_text_built_from_records(self, argv, fmt, tmp_path):
+        code, text = run_cli(argv + ["--format", fmt], tmp_path)
+        assert code == 0
+        assert text == self.expected(argv + ["--format", fmt], fmt)
+        if "--eta0" in argv:
+            assert "D3" in text and "lost" in text
+
+
+def test_traced_bindings_resolve():
+    # the traced benchmark wraps these names where they are looked up
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    bindings = [(m, attr) for m, attr, _ in tracing.BINDINGS if m.startswith("ghzsim.")]
+    assert bindings
+    missing = []
+    for module, attr in bindings:
+        try:
+            getattr(importlib.import_module(module), attr)
+        except AttributeError:
+            missing.append(f"{module}.{attr}")
+    assert missing == []
 
 
 class TestSwapCommand:
