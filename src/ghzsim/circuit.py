@@ -471,10 +471,17 @@ class Records(Sequence):
         return cls(np.array(rows, np.int8).reshape(len(rows), -1 if rows else 1),
                    np.array([r.probability for r in records], dtype=float))
 
+    @classmethod
+    def read_out(cls, fates: np.ndarray, pairs: np.ndarray, probs: np.ndarray) -> Records:
+        """Records of rows of fate codes (`click_records`) read out as QD_PAIRS[pairs]."""
+        return cls(np.column_stack((fates, pairs + 1)).astype(np.int8), probs)
+
     def __len__(self) -> int:
         return len(self.probs)
 
-    def __getitem__(self, i: int) -> OutcomeRecord:
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return Records(self.digits[i], self.probs[i])
         return _record(self.digits[i].tolist(), float(self.probs[i]))
 
     def __iter__(self):
@@ -500,6 +507,31 @@ class Records(Sequence):
         phase = _PHASE[n % 2][self.digits[:, n]]
         labels = lead @ 2 ** np.arange(n - 1, 0, -1) + phase
         return conclusive, np.where(conclusive & (phase >= 0), labels, -1)
+
+    def labels(self) -> list:
+        """The GhzLabel of every record (`decode`), None where it is inconclusive."""
+        spec = f"0{self.digits.shape[1] - 1}b"
+        return [None if v < 0 else GhzLabel.from_string(format(v, spec))
+                for v in self.decode()[1].tolist()]
+
+    def columns(self) -> tuple[list, list, list, list]:
+        """Spelled fates, H/V pattern, QD pair and label of every record, as strings.
+
+        Fates are joined by "/"; the pattern is "" unless the record is
+        conclusive, the QD pair "" after a loss, and the label INCONCLUSIVE
+        where `decode` gives none.
+        """
+        n = self.digits.shape[1] - 1
+        photons = self.digits[:, :n]
+        conclusive, labels = self.decode()
+        names = np.array([f.value for f in _FATES], dtype=object)[photons].tolist()
+        hv = map("".join, np.array(["H", "V"], dtype=object)[photons[conclusive]].tolist())
+        qd = np.array(["", *map("".join, QD_PAIRS)], dtype=object)[self.digits[:, n]]
+        spec = f"0{n}b"
+        return (list(map("/".join, names)),
+                [next(hv) if c else "" for c in conclusive.tolist()],
+                qd.tolist(),
+                [INCONCLUSIVE if v < 0 else format(v, spec) for v in labels.tolist()])
 
 
 def _clicked(fates: np.ndarray) -> np.ndarray:
@@ -707,16 +739,11 @@ def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
     return _run(photons, config, order, shots)
 
 
-def _ghz_label(label: int, n: int) -> GhzLabel | None:
-    """The GHZ label of an integer label from `Records.decode`; None for -1."""
-    return None if label < 0 else GhzLabel.from_string(format(label, f"0{n}b"))
-
-
 def classify(record: OutcomeRecord, n: int):
     """Map one outcome record to a GHZ label, or None when inconclusive (`Records.decode`)."""
     if len(record.fates) != n:
         raise ValueError(f"record covers {len(record.fates)} photons, expected {n}")
-    return _ghz_label(int(Records.of([record]).decode()[1][0]), n)
+    return Records.of([record]).labels()[0]
 
 
 def conclusive_probability(records) -> float:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import configparser
 import functools
-import itertools
 import json
 import math
 import os
@@ -30,8 +29,8 @@ from operator import itemgetter
 import numpy as np
 
 from . import __version__
-from .circuit import (_D2, _FATES, INCONCLUSIVE, QD_PAIRS, AnalyzerConfig, check_fits,
-                      classification_distribution, conclusive_probability, run_analyzer)
+from .circuit import (INCONCLUSIVE, AnalyzerConfig, check_fits, classification_distribution,
+                      conclusive_probability, run_analyzer)
 from .circuit import classify  # noqa: F401 - the traced benchmark wraps it in this module
 from .network import bell_swap, feed_photon, ghz_swap, make_network
 from .scattering import (CavityQDParams, PulseSpectrum,
@@ -390,29 +389,6 @@ def _echo_analyzer(meta: dict, config: AnalyzerConfig) -> None:
         meta["sigma"] = config.spectrum.sigma
 
 
-@functools.cache
-def _spellings(symbols: tuple[str, ...], sep: str, width: int, lead: str) -> np.ndarray:
-    """`lead` + sep.join(...) of every `width` symbols, indexed by their base-len(symbols) code."""
-    return np.array([lead + sep.join(p) for p in itertools.product(symbols, repeat=width)],
-                    dtype=object)
-
-
-def _spell(codes: np.ndarray, symbols, sep: str = "") -> np.ndarray:
-    """sep.join(symbols[c] for c in row) for each row of `codes`, as an object array.
-
-    The columns go in chunks whose spellings are tabulated once, so a row
-    costs one lookup and one concatenation per chunk.
-    """
-    base = len(symbols)
-    chunk = 12 // base.bit_length()  # at most 4096 spellings per table
-    out = np.full(len(codes), "", dtype=object)
-    for start in range(0, codes.shape[1], chunk):
-        part = codes[:, start:start + chunk].astype(np.int64)
-        table = _spellings(tuple(symbols), sep, part.shape[1], sep if start else "")
-        out = out + table[part @ base ** np.arange(part.shape[1] - 1, -1, -1)]
-    return out
-
-
 def cmd_analyze(args: argparse.Namespace) -> RunReport:
     settings = _settings(args)
     config = _analyzer_config(settings, args)
@@ -427,16 +403,9 @@ def cmd_analyze(args: argparse.Namespace) -> RunReport:
     meta.update(state=display, photons=n, shots=args.shots)
     _echo_analyzer(meta, config)
     columns = ["fates", "pattern", "qd", "probability", "classified"]
-    digits = records.digits
-    clicked, labels = records.decode()
-    bits = labels[:, None] >> np.arange(n - 1, -1, -1) & 1
-    cells = (_spell(digits[:, :n], tuple(f.value for f in _FATES), "/"),
-             np.where(clicked, _spell(digits[:, :n] == _D2, "HV"), ""),
-             np.array(["", *map("".join, QD_PAIRS)], dtype=object)[digits[:, n]],
-             records.probs,
-             np.where(labels >= 0, _spell(bits, "01"), INCONCLUSIVE))
+    fates, patterns, qd, classified = records.columns()
     rows = [{"fates": f, "pattern": p, "qd": q, "probability": w, "classified": c}
-            for f, p, q, w, c in zip(*(c.tolist() for c in cells))]
+            for f, p, q, w, c in zip(fates, patterns, qd, records.probs.tolist(), classified)]
     payload = {
         "state": display,
         "conclusive_probability": conclusive,

@@ -22,8 +22,7 @@ import numpy as np
 
 from ._ops import KET_PLUS, SQRT_HALF, kron_all
 from .circuit import (PRUNE_TOL, AnalyzerConfig, BranchStack, HybridState, Records,
-                      _ghz_label, _initial_stack, _photon_step, _qd_readouts, _units,
-                      click_records)
+                      _initial_stack, _photon_step, _qd_readouts, _units, click_records)
 from .states import GhzLabel, QubitRegister
 
 
@@ -118,12 +117,10 @@ def _swap_outcomes(state: NetworkState) -> list[SwapOutcome]:
     outcomes = [SwapOutcome(r.fates, None, r.probability, None, None) for r in aborted]
     comps, weights = _qd_readouts(state.stack.amps[heralded])
     row, pair = np.nonzero(weights > PRUNE_TOL)  # comps: the remote spins
-    found = Records(np.column_stack((clicks[row], pair + 1)).astype(np.int8),
-                    weights[row, pair])
-    for r, i, j, label in zip(found, row.tolist(), pair.tolist(), found.decode()[1].tolist()):
+    found = Records.read_out(clicks[row], pair, weights[row, pair])
+    for r, i, j, label in zip(found, row.tolist(), pair.tolist(), found.labels()):
         remote = QubitRegister(m, comps[i, :, j] / np.sqrt(r.probability))
-        outcomes.append(SwapOutcome(r.fates, r.qd_readout, r.probability, remote,
-                                    _ghz_label(label, m)))
+        outcomes.append(SwapOutcome(r.fates, r.qd_readout, r.probability, remote, label))
     return sorted(outcomes, key=lambda o: (tuple(c.value for c in o.clicks),
                                            o.qd_readout or ()))
 
