@@ -24,13 +24,12 @@ import sys
 from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring_ascii
-from operator import itemgetter
 
 import numpy as np
 
 from . import __version__
-from .circuit import (INCONCLUSIVE, AnalyzerConfig, check_fits, classification_distribution,
-                      conclusive_probability, run_analyzer)
+from .circuit import (INCONCLUSIVE, MAX_STEP_BYTES, AnalyzerConfig, check_fits,
+                      classification_distribution, conclusive_probability, run_analyzer)
 from .circuit import classify  # noqa: F401 - the traced benchmark wraps it in this module
 from .network import bell_swap, feed_photon, ghz_swap, make_network
 from .scattering import (CavityQDParams, PulseSpectrum,
@@ -41,6 +40,12 @@ from .states import GhzLabel, bell_label, bell_name, bell_state, fidelity, ghz_s
 STATE_GRAMMAR = ("state spec grammar: 'GHZ:<bitstring>' (photon count inferred from "
                  "length, e.g. GHZ:010) or 'BELL:{phi+,phi-,psi+,psi-}'")
 
+# bytes a sweep holds per table row, grid arrays and rendered output together:
+# the tracemalloc peak of a JSON run (the largest format) at 160,000 rows, 1,338
+# and 600 bytes per row, rounded up
+_REFLECTION_ROW_BYTES = 1400
+_MAP_ROW_BYTES = 640
+
 
 class UsageError(Exception):
     """Bad command-line arguments or configuration values."""
@@ -50,12 +55,11 @@ class UsageError(Exception):
 class RunReport:
     """Tabular result plus resolved-configuration echo; payload overrides JSON.
 
-    Every row is a flat dict keyed by `columns`, in that order.
+    `table` maps each column name, in output order, to that column's values.
     """
 
     metadata: dict
-    columns: list[str]
-    rows: list[dict]
+    table: dict[str, list]
     payload: dict | None = field(default=None)
 
 
@@ -67,25 +71,24 @@ def _fmt(value) -> str:
 
 def render_csv(report: RunReport) -> str:
     lines = [f"# {k}={_fmt(v)}" for k, v in report.metadata.items()]
-    lines.append(",".join(report.columns))
-    for row in report.rows:
-        lines.append(",".join(_fmt(row[c]) for c in report.columns))
+    lines.append(",".join(report.table))
+    lines.extend(",".join(map(_fmt, row)) for row in zip(*report.table.values()))
     return "\n".join(lines) + "\n"
 
 
-def _json_rows(rows: list[dict], columns: list[str]) -> str:
-    """json.dumps(rows, indent=2) nested one level deep, written one column at a time.
+def _json_rows(table: dict[str, list]) -> str:
+    """json.dumps(rows, indent=2) of the table nested one level deep, one column at a time.
 
     Strings go through `encode_basestring_ascii` and finite floats through
     `float.__repr__`, as in `json.dumps`; each value follows its key in one
     list of pieces.
     """
+    rows = len(next(iter(table.values())))
     if not rows:
         return "[]"
-    width = 2 * len(columns)
-    pieces = [""] * (width * len(rows))
-    for j, key in enumerate(columns):
-        values = list(map(itemgetter(key), rows))
+    width = 2 * len(table)
+    pieces = [""] * (width * rows)
+    for j, (key, values) in enumerate(table.items()):
         kinds = set(map(type, values))
         if kinds == {str}:
             encode = encode_basestring_ascii
@@ -94,20 +97,20 @@ def _json_rows(rows: list[dict], columns: list[str]) -> str:
         else:
             encode = json.dumps
         lead = "\n    },\n    {\n" if j == 0 else ",\n"
-        pieces[2 * j::width] = [f"{lead}      {encode_basestring_ascii(key)}: "] * len(rows)
+        pieces[2 * j::width] = [f"{lead}      {encode_basestring_ascii(key)}: "] * rows
         pieces[2 * j + 1::width] = list(map(encode, values))
     pieces[0] = pieces[0][len("\n    },\n"):]  # the first row opens the list
     return "[\n" + "".join(pieces) + "\n    }\n  ]"
 
 
 def render_json(report: RunReport) -> str:
-    """json.dumps(doc, indent=2) of the report, with its rows written by `_json_rows`."""
+    """json.dumps(doc, indent=2) of the report, with its table written by `_json_rows`."""
     if report.payload is not None:
         doc = {"metadata": report.metadata, **report.payload}
     else:
-        doc = {"metadata": report.metadata, "rows": report.rows}
+        doc = {"metadata": report.metadata, "rows": report.table}
     items = [f"  {encode_basestring_ascii(key)}: "
-             + (_json_rows(value, report.columns) if value is report.rows
+             + (_json_rows(value) if value is report.table
                 else json.dumps(value, indent=2).replace("\n", "\n  "))
              for key, value in doc.items()]
     return "{\n" + ",\n".join(items) + "\n}\n"
@@ -116,10 +119,10 @@ def render_json(report: RunReport) -> str:
 def render_markdown(report: RunReport) -> str:
     lines = [f"- {k}: {_fmt(v)}" for k, v in report.metadata.items()]
     lines.append("")
-    lines.append("| " + " | ".join(report.columns) + " |")
-    lines.append("|" + "|".join(" --- " for _ in report.columns) + "|")
-    for row in report.rows:
-        lines.append("| " + " | ".join(_fmt(row[c]) for c in report.columns) + " |")
+    lines.append("| " + " | ".join(report.table) + " |")
+    lines.append("|" + "|".join(" --- " for _ in report.table) + "|")
+    lines.extend("| " + " | ".join(map(_fmt, row)) + " |"
+                 for row in zip(*report.table.values()))
     return "\n".join(lines) + "\n"
 
 
@@ -255,6 +258,13 @@ def _parse_axis(text: str, name: str) -> SweepAxis:
     return SweepAxis(name=name, lo=lo, hi=hi, steps=steps, scale=scale)
 
 
+def _check_rows(rows: int, row_bytes: int, what: str) -> None:
+    """Refuse a sweep of `rows` table rows before its grid is built if it would pass the budget."""
+    if rows * row_bytes > MAX_STEP_BYTES:
+        raise UsageError(f"{what} of {rows} rows needs about {rows * row_bytes} bytes, "
+                         f"over the {MAX_STEP_BYTES}-byte budget")
+
+
 def _parse_list(text: str, name: str, cast) -> list:
     try:
         return [cast(tok) for tok in text.split(",") if tok.strip()]
@@ -283,21 +293,20 @@ def parse_state_spec(text: str, config: AnalyzerConfig):
 def cmd_reflection(args: argparse.Namespace) -> RunReport:
     settings = _settings(args)
     params = _scattering_params(settings)
-    omegas = _parse_axis(args.omega_range, "--omega-range").values()
+    axis = _parse_axis(args.omega_range, "--omega-range")
+    _check_rows(axis.steps, _REFLECTION_ROW_BYTES, "--omega-range")
+    omegas = axis.values()
     meta = _base_metadata("reflection", settings)
     _echo_params(meta, params)
     meta["omega_range"] = args.omega_range
-    columns = ["omega_ueV", "re_r0", "im_r0", "re_r1", "im_r1", "eta1", "p2"]
-    rows = []
-    for w in omegas:
-        pair = reflection_coeffs(params, float(w))
-        rows.append({
-            "omega_ueV": float(w),
-            "re_r0": pair.r0.real, "im_r0": pair.r0.imag,
-            "re_r1": pair.r1.real, "im_r1": pair.r1.imag,
-            "eta1": eta1(params, float(w)), "p2": error_prob(params, float(w)),
-        })
-    return RunReport(meta, columns, rows)
+    table = {c: [] for c in ("omega_ueV", "re_r0", "im_r0", "re_r1", "im_r1", "eta1", "p2")}
+    for w in omegas.tolist():
+        pair = reflection_coeffs(params, w)
+        for column, value in zip(table.values(), (
+                w, pair.r0.real, pair.r0.imag, pair.r1.real, pair.r1.imag,
+                eta1(params, w), error_prob(params, w))):
+            column.append(value)
+    return RunReport(meta, table)
 
 
 def cmd_efficiency_map(args: argparse.Namespace) -> RunReport:
@@ -312,6 +321,7 @@ def cmd_efficiency_map(args: argparse.Namespace) -> RunReport:
                          "g_over_ks")
     k_axis = _parse_axis(settings.get("sweep", "k_over_ks", "1:30:30", cast=str),
                          "k_over_ks")
+    _check_rows(g_axis.steps * k_axis.steps, _MAP_ROW_BYTES, "efficiency-map grid")
     meta = _base_metadata("efficiency-map", settings)
     meta.update(n=n, kappa_s=kappa_s, gamma=gamma, sigma=sigma, eta0=eta0,
                 quad_nodes=nodes, g_over_ks=str(g_axis), k_over_ks=str(k_axis))
@@ -321,9 +331,8 @@ def cmd_efficiency_map(args: argparse.Namespace) -> RunReport:
                                      kappa_s=kappa_s, gamma=gamma)
     spec = PulseSpectrum(omega_c=params.omega_c, sigma=sigma)
     values = average_efficiency(params, spec, n, eta0=eta0, nodes=nodes)
-    rows = [{"g_over_ks": float(g), "k_over_ks": float(k), "eta_n_s": float(v)}
-            for g, k, v in zip(g_over, k_over, values)]
-    return RunReport(meta, ["g_over_ks", "k_over_ks", "eta_n_s"], rows)
+    return RunReport(meta, {"g_over_ks": g_over.tolist(), "k_over_ks": k_over.tolist(),
+                            "eta_n_s": values.tolist()})
 
 
 def cmd_table1(args: argparse.Namespace) -> RunReport:
@@ -344,15 +353,13 @@ def cmd_table1(args: argparse.Namespace) -> RunReport:
     _echo_params(meta, params)
     meta.update(sigma=sigma, eta0=eta0, quad_nodes=nodes,
                 t2_prime_ns=t2_list[0], t2_doubleprime_ns=t2_list[1])
-    rows = []
-    for n in n_list:
-        rows.append({
-            "n": n,
-            "F_prime": fidelity_fn(n, t2_list[0], spec),
-            "F_doubleprime": fidelity_fn(n, t2_list[1], spec),
-            "eta_n_s": average_efficiency(params, spec, n, eta0=eta0, nodes=nodes),
-        })
-    return RunReport(meta, ["n", "F_prime", "F_doubleprime", "eta_n_s"], rows)
+    return RunReport(meta, {
+        "n": n_list,
+        "F_prime": [fidelity_fn(n, t2_list[0], spec) for n in n_list],
+        "F_doubleprime": [fidelity_fn(n, t2_list[1], spec) for n in n_list],
+        "eta_n_s": [average_efficiency(params, spec, n, eta0=eta0, nodes=nodes)
+                    for n in n_list],
+    })
 
 
 def _analyzer_config(settings: _Settings, args: argparse.Namespace) -> AnalyzerConfig:
@@ -402,20 +409,19 @@ def cmd_analyze(args: argparse.Namespace) -> RunReport:
     meta = _base_metadata("analyze", settings)
     meta.update(state=display, photons=n, shots=args.shots)
     _echo_analyzer(meta, config)
-    columns = ["fates", "pattern", "qd", "probability", "classified"]
     fates, patterns, qd, classified = records.columns()
-    rows = [{"fates": f, "pattern": p, "qd": q, "probability": w, "classified": c}
-            for f, p, q, w, c in zip(fates, patterns, qd, records.probs.tolist(), classified)]
+    table = {"fates": fates, "pattern": patterns, "qd": qd,
+             "probability": records.probs.tolist(), "classified": classified}
     payload = {
         "state": display,
         "conclusive_probability": conclusive,
         "conditional_fidelity": conditional,
         "classification": dist,
-        "outcomes": rows,
+        "outcomes": table,
     }
     meta["conclusive_probability"] = conclusive
     meta["conditional_fidelity"] = "" if conditional is None else conditional
-    return RunReport(meta, columns, rows, payload=payload)
+    return RunReport(meta, table, payload=payload)
 
 
 def cmd_swap(args: argparse.Namespace) -> RunReport:
@@ -428,8 +434,7 @@ def cmd_swap(args: argparse.Namespace) -> RunReport:
     meta = _base_metadata("swap", settings)
     meta.update(pairs=args.pairs)
     _echo_analyzer(meta, config)
-    columns = ["clicks", "qd", "probability", "predicted", "fidelity"]
-    rows = []
+    table = {c: [] for c in ("clicks", "qd", "probability", "predicted", "fidelity")}
     for o in outcomes:
         if o.predicted is not None:
             target = ghz_state(args.pairs, o.predicted)
@@ -438,15 +443,13 @@ def cmd_swap(args: argparse.Namespace) -> RunReport:
         else:
             fid = ""
             predicted = INCONCLUSIVE
-        rows.append({
-            "clicks": "/".join(c.value for c in o.clicks),
-            "qd": "".join(o.qd_readout) if o.qd_readout else "",
-            "probability": o.probability,
-            "predicted": predicted,
-            "fidelity": fid,
-        })
-    payload = {"pairs": args.pairs, "outcomes": rows}
-    return RunReport(meta, columns, rows, payload=payload)
+        for column, value in zip(table.values(), (
+                "/".join(c.value for c in o.clicks),
+                "".join(o.qd_readout) if o.qd_readout else "",
+                o.probability, predicted, fid)):
+            column.append(value)
+    payload = {"pairs": args.pairs, "outcomes": table}
+    return RunReport(meta, table, payload=payload)
 
 
 def _add_common(sub: argparse.ArgumentParser, default_format: str) -> None:

@@ -125,6 +125,9 @@ def reflection_coeffs(params: CavityQDParams, omega) -> ReflectionPair:
     w = np.asarray(omega, dtype=float)
     denom = 1j * (params.omega_c - w) + params.kappa / 2.0 + params.kappa_s / 2.0
     f = 1j * (params.omega_x - w) + params.gamma / 2.0
+    if params.gamma == 0 and np.any((w == params.omega_x) & (np.asarray(params.g) == 0)):
+        raise ValueError(f"r1 is 0/0 at omega = omega_x = {params.omega_x!r} ueV "
+                         f"when g = 0 and gamma = 0")
     r0 = 1.0 - params.kappa / denom
     r1 = 1.0 - params.kappa * f / (denom * f + params.g ** 2)
     if np.isscalar(omega) or w.ndim == 0:

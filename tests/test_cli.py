@@ -77,6 +77,14 @@ class TestReflectionCommand:
         assert len(rows) == 601
         assert (float(rows[0]["omega_ueV"]), float(rows[-1]["omega_ueV"])) == (-300.0, 300.0)
 
+    def test_singular_point_exits_2(self, tmp_path, capsys):
+        # with g = gamma = 0, r1 is 0/0 at omega = omega_x
+        code, text = run_cli(["reflection", "--g", "0", "--gamma", "0", "--kappa", "1",
+                              "--kappa-s", "0", "--omega-range=-1:1:3"], tmp_path)
+        assert code == 2
+        assert text == ""
+        assert "r1 is 0/0 at omega = omega_x = 0.0 ueV" in capsys.readouterr().err
+
 
 class TestEfficiencyMapCommand:
     def test_spot_values(self, tmp_path):
@@ -303,6 +311,14 @@ class TestAnalyzeCommand:
         assert "23 photons with 1 quadrature node(s) need" in err
         assert "bytes for a photon step on 1 rows" in err
 
+    def test_singular_point_exits_2(self, tmp_path, capsys):
+        code, text = run_cli(["analyze", "GHZ:01", "--mode", "realistic", "--g", "0",
+                              "--gamma", "0", "--kappa", "1", "--kappa-s", "0", "--omega", "0"],
+                             tmp_path, "a.json")
+        assert code == 2
+        assert text == ""
+        assert "r1 is 0/0 at omega = omega_x = 0.0 ueV" in capsys.readouterr().err
+
     def test_monte_carlo_runs(self, tmp_path):
         code, text = run_cli(["analyze", "BELL:psi-", "--enumeration", "monte-carlo",
                               "--seed", "11", "--shots", "2000"], tmp_path, "a.json")
@@ -382,6 +398,75 @@ class TestAnalyzeRendering:
         assert text == self.expected(argv + ["--format", fmt], fmt)
         if "--eta0" in argv:
             assert "D3" in text and "lost" in text
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["reflection", "--omega-range=-1:1:100000000000"], id="reflection"),
+    pytest.param(["efficiency-map", "--n", "2", "--g-over-ks", "0.1:1:100000",
+                  "--k-over-ks", "0.1:1:100000"], id="efficiency-map"),
+])
+def test_oversized_sweep_exits_2_before_its_grid(argv, tmp_path, capsys):
+    tracemalloc.start()
+    try:
+        code, text = run_cli(argv, tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert text == ""
+    assert peak < 64 * 2 ** 20
+    assert f"over the {2 ** 30}-byte budget" in capsys.readouterr().err
+
+
+def text_from_rows(metadata, columns, rows, fmt):
+    """CSV or Markdown output written row by row from dicts."""
+    cells = [[_fmt(row[c]) for c in columns] for row in rows]
+    if fmt == "csv":
+        lines = [f"# {k}={_fmt(v)}" for k, v in metadata.items()]
+        lines += [",".join(columns)] + [",".join(c) for c in cells]
+    else:
+        lines = [f"- {k}: {_fmt(v)}" for k, v in metadata.items()]
+        lines += ["", "| " + " | ".join(columns) + " |",
+                  "|" + "|".join(" --- " for _ in columns) + "|"]
+        lines += ["| " + " | ".join(c) + " |" for c in cells]
+    return "\n".join(lines) + "\n"
+
+
+TABLE1_COLUMNS = ["n", "F_prime", "F_doubleprime", "eta_n_s"]
+SWAP_COLUMNS = ["clicks", "qd", "probability", "predicted", "fidelity"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+@pytest.mark.parametrize("argv,columns", [
+    pytest.param(["reflection", "--omega-range=-30:30:7"],
+                 ["omega_ueV", "re_r0", "im_r0", "re_r1", "im_r1", "eta1", "p2"],
+                 id="reflection"),
+    pytest.param(["efficiency-map", "--g-over-ks", "0.5:3:3", "--k-over-ks", "2:20:4:log"],
+                 ["g_over_ks", "k_over_ks", "eta_n_s"], id="efficiency-map"),
+    pytest.param(["table1", "--n-list", "2,5,20"], TABLE1_COLUMNS, id="table1"),
+    pytest.param(["table1", "--n-list", ","], TABLE1_COLUMNS, id="table1-empty"),
+    pytest.param(["swap", "--pairs", "2"], SWAP_COLUMNS, id="swap-2"),
+    pytest.param(["swap", "--pairs", "3", "--mode", "realistic", "--eta0", "0.9"],
+                 SWAP_COLUMNS, id="swap-3-eta0-0.9"),
+])
+def test_table_output_matches_text_built_from_dict_rows(argv, columns, fmt, tmp_path):
+    # the JSON document is the reference: json.dumps must reproduce it, and
+    # CSV and Markdown must hold its rows, written one dict at a time
+    code, text = run_cli(argv + ["--format", "json"], tmp_path, "doc.json")
+    assert code == 0
+    doc = json.loads(text)
+    rows = doc["outcomes"] if argv[0] == "swap" else doc["rows"]
+    assert all(list(row) == columns for row in rows)
+    assert (len(rows) == 0) == (argv[-1] == ",")
+    if "--eta0" in argv:
+        assert {type(row["fidelity"]) for row in rows} == {str, float}
+    if fmt == "json":
+        expected = json.dumps(doc, indent=2) + "\n"
+    else:
+        expected = text_from_rows(doc["metadata"], columns, rows, fmt)
+    code, out = run_cli(argv + ["--format", fmt], tmp_path)
+    assert code == 0
+    assert out == expected
 
 
 def test_traced_bindings_resolve():
