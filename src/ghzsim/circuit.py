@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._ops import KET_MINUS, KET_PLUS, SQRT_HALF, kron_all, norm2
+from ._ops import KET_MINUS, KET_PLUS, SQRT_HALF, norm2
 from .scattering import (MAX_QUAD_NODES, CavityQDParams, PulseSpectrum,
                          ReflectionPair, _hermite_nodes, reflection_coeffs)
 from .states import GhzLabel, QubitRegister
@@ -625,6 +625,11 @@ def _feeding_order(photons: QubitRegister, config: AnalyzerConfig, order) -> lis
     return order
 
 
+def _with_spins(amps: np.ndarray) -> np.ndarray:
+    """The input row amps (x) |+> (x) |+>: both QD spins start in |+>."""
+    return ((amps[:, None] * KET_PLUS)[:, :, None] * KET_PLUS).reshape(-1)
+
+
 def final_branches(photons: QubitRegister, config: AnalyzerConfig,
                    order=None) -> list[HybridState]:
     """Run every photon through the analyzer, stopping before the QD readout.
@@ -638,7 +643,7 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
         raise ValueError("final_branches needs a monochromatic configuration")
     order = _feeding_order(photons, config, order)
     units = _units(*config.reflection_pairs())
-    vec = kron_all(photons.amplitudes, KET_PLUS, KET_PLUS)
+    vec = _with_spins(photons.amplitudes)
     return [branch for stack in _evolve(vec, units, config.eta0, order)
             for branch in stack.views()]
 
@@ -667,7 +672,7 @@ def _run(photons: QubitRegister, config: AnalyzerConfig, order, shots: int):
     """Exact records, weighted by quadrature node, or the frequencies over `shots`
     sampled rows (`_shot_groups`), each of which draws one QD pair at the end."""
     n = photons.num_qubits
-    vec = kron_all(photons.amplitudes, KET_PLUS, KET_PLUS)
+    vec = _with_spins(photons.amplitudes)
     pulse = config.spectrum is not None and config.mode == "realistic"
     sampled = config.enumeration == "monte-carlo"
     if sampled:

@@ -21,9 +21,11 @@ import json
 import math
 import os
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from importlib import resources
 from json.encoder import encode_basestring_ascii
+from types import MappingProxyType
 
 import numpy as np
 
@@ -33,8 +35,8 @@ from .circuit import (INCONCLUSIVE, MAX_STEP_BYTES, AnalyzerConfig, check_fits,
 from .circuit import classify  # noqa: F401 - the traced benchmark wraps it in this module
 from .network import bell_swap, feed_photon, ghz_swap, make_network
 from .scattering import (CavityQDParams, PulseSpectrum,
-                         QuadratureConvergenceError, average_efficiency, eta1,
-                         error_prob, fidelity_fn, reflection_coeffs)
+                         QuadratureConvergenceError, average_efficiency,
+                         fidelity_fn, reflection_coeffs)
 from .states import GhzLabel, bell_label, bell_name, bell_state, fidelity, ghz_state
 
 STATE_GRAMMAR = ("state spec grammar: 'GHZ:<bitstring>' (photon count inferred from "
@@ -142,7 +144,7 @@ def _base_metadata(command: str, settings: "_Settings") -> dict:
 class _Settings:
     """Layered option lookup: built-in default < config file < CLI flag."""
 
-    file_values: dict
+    file_values: Mapping
     args: argparse.Namespace
     config_path: str | None
 
@@ -160,38 +162,47 @@ class _Settings:
             raise UsageError(f"bad config value {section}.{key} = {raw!r}") from exc
 
 
-def _load_config_file(path_or_name: str) -> tuple[dict, str]:
-    candidates = [path_or_name]
-    if not path_or_name.endswith(".cfg"):
-        candidates.append(path_or_name + ".cfg")
-    text = None
-    resolved = path_or_name
-    for cand in candidates:
-        if os.path.exists(cand):
-            with open(cand, "r", encoding="utf-8") as fh:
-                text = fh.read()
-            resolved = cand
-            break
-    if text is None:
-        for cand in candidates:
-            ref = resources.files("ghzsim").joinpath("configs", os.path.basename(cand))
-            if ref.is_file():
-                text = ref.read_text(encoding="utf-8")
-                resolved = f"builtin:{os.path.basename(cand)}"
-                break
-    if text is None:
-        raise UsageError(f"config {path_or_name!r} is neither a file nor a bundled profile")
+def _parse_config(text: str, resolved: str) -> dict:
     parser = configparser.ConfigParser()
     try:
         parser.read_string(text)
     except configparser.Error as exc:
         raise UsageError(f"cannot parse config {resolved}: {exc}") from exc
-    values = {section: dict(parser.items(section)) for section in parser.sections()}
-    return values, resolved
+    return {section: dict(parser.items(section)) for section in parser.sections()}
+
+
+@functools.cache
+def _bundled_profile(name: str) -> Mapping | None:
+    """A bundled profile's sections, parsed once per process and read-only.
+
+    Profiles are package data, so they cannot change while the process runs.
+    """
+    ref = resources.files("ghzsim").joinpath("configs", name)
+    if not ref.is_file():
+        return None
+    values = _parse_config(ref.read_text(encoding="utf-8"), f"builtin:{name}")
+    return MappingProxyType({k: MappingProxyType(v) for k, v in values.items()})
+
+
+def _load_config_file(path_or_name: str) -> tuple[Mapping, str]:
+    """A file on disk, read on every call, else a bundled profile of that name."""
+    candidates = [path_or_name]
+    if not path_or_name.endswith(".cfg"):
+        candidates.append(path_or_name + ".cfg")
+    for cand in candidates:
+        if os.path.exists(cand):
+            with open(cand, "r", encoding="utf-8") as fh:
+                return _parse_config(fh.read(), cand), cand
+    for cand in candidates:
+        name = os.path.basename(cand)
+        values = _bundled_profile(name)
+        if values is not None:
+            return values, f"builtin:{name}"
+    raise UsageError(f"config {path_or_name!r} is neither a file nor a bundled profile")
 
 
 def _settings(args: argparse.Namespace) -> _Settings:
-    file_values: dict = {}
+    file_values: Mapping = {}
     path = None
     if getattr(args, "config", None):
         file_values, path = _load_config_file(args.config)
@@ -302,9 +313,11 @@ def cmd_reflection(args: argparse.Namespace) -> RunReport:
     table = {c: [] for c in ("omega_ueV", "re_r0", "im_r0", "re_r1", "im_r1", "eta1", "p2")}
     for w in omegas.tolist():
         pair = reflection_coeffs(params, w)
+        # scattering.eta1 and error_prob, from the one pair
         for column, value in zip(table.values(), (
                 w, pair.r0.real, pair.r0.imag, pair.r1.real, pair.r1.imag,
-                eta1(params, w), error_prob(params, w))):
+                float(np.abs(pair.r1 - pair.r0) ** 2 / 4.0),
+                float(np.abs(pair.r1 + pair.r0) ** 2 / 4.0))):
             column.append(value)
     return RunReport(meta, table)
 
@@ -357,8 +370,7 @@ def cmd_table1(args: argparse.Namespace) -> RunReport:
         "n": n_list,
         "F_prime": [fidelity_fn(n, t2_list[0], spec) for n in n_list],
         "F_doubleprime": [fidelity_fn(n, t2_list[1], spec) for n in n_list],
-        "eta_n_s": [average_efficiency(params, spec, n, eta0=eta0, nodes=nodes)
-                    for n in n_list],
+        "eta_n_s": average_efficiency(params, spec, n_list, eta0=eta0, nodes=nodes),
     })
 
 

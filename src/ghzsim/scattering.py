@@ -34,6 +34,8 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 def _require_finite(name: str, value) -> None:
+    if isinstance(value, float) and math.isfinite(value):
+        return
     finite = np.isfinite(value)
     if not np.all(finite):
         shown = value if np.ndim(value) == 0 else np.asarray(value)[~finite][0].item()
@@ -183,19 +185,23 @@ def _hermite_nodes(nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _hermite_average(params: CavityQDParams, spec: PulseSpectrum, n: int,
-                     eta0: float, nodes: int) -> np.ndarray:
+def _hermite_efficiency(params: CavityQDParams, spec: PulseSpectrum,
+                        nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The rule's weights and the single-photon efficiency |(r1 - r0)/2|^2 at its nodes."""
     # substitution x = (omega - omega_c)/sigma turns the spectral average into
     # (1/sqrt(pi)) * integral exp(-x^2) * integrand dx, exact for Gauss-Hermite;
     # params.g and params.kappa are (points, 1) columns, the nodes the last axis
     x, w = _hermite_nodes(nodes)
-    omega = spec.omega_c + spec.sigma * x
-    pair = reflection_coeffs(params, omega)
-    integrand = (np.abs((pair.r1 - pair.r0) / 2.0) ** 2) ** n
-    return eta0 ** n * np.sum(w * integrand, axis=-1) / math.sqrt(math.pi)
+    pair = reflection_coeffs(params, spec.omega_c + spec.sigma * x)
+    return w, np.abs((pair.r1 - pair.r0) / 2.0) ** 2
 
 
-def average_efficiency(params: CavityQDParams, spec: PulseSpectrum, n: int,
+def _hermite_average(w: np.ndarray, eta1_nodes: np.ndarray, n: int,
+                     eta0: float) -> np.ndarray:
+    return eta0 ** n * np.sum(w * eta1_nodes ** n, axis=-1) / math.sqrt(math.pi)
+
+
+def average_efficiency(params: CavityQDParams, spec: PulseSpectrum, n,
                        eta0: float = 1.0, nodes: int = DEFAULT_QUAD_NODES,
                        tol: float = 1e-8):
     """Pulse-averaged n-photon conclusive probability.
@@ -204,8 +210,19 @@ def average_efficiency(params: CavityQDParams, spec: PulseSpectrum, n: int,
     Gauss-Hermite quadrature with a node-doubling convergence check at every
     point. A float for scalar params; if params.g and params.kappa are arrays,
     an array of their shape, computed in fixed-size blocks of points x nodes.
+
+    n may also be a sequence of photon counts: the reflection amplitudes are
+    then evaluated once for all of them, and the result is a list with one
+    value per count (empty for no counts), each checked in list order as a
+    single call would be.
     """
-    if n < 1:
+    scalar = np.ndim(n) == 0
+    counts = [n] if scalar else list(n)
+    if not counts:
+        return []
+    # a count below 1 fails where a loop of single calls would reach it
+    valid = next((i for i, k in enumerate(counts) if k < 1), len(counts))
+    if valid == 0:
         raise ValueError("n must be >= 1")
     if not 0.0 <= eta0 <= 1.0:
         raise ValueError("eta0 must lie in [0, 1]")
@@ -215,24 +232,30 @@ def average_efficiency(params: CavityQDParams, spec: PulseSpectrum, n: int,
     shape = np.broadcast_shapes(np.shape(params.g), np.shape(params.kappa))
     g = np.broadcast_to(params.g, shape).ravel()
     kappa = np.broadcast_to(params.kappa, shape).ravel()
-    coarse, fine = np.empty(g.size), np.empty(g.size)
+    coarse, fine = np.empty((2, valid, g.size))
     step = max(1, _GRID_BLOCK // (2 * nodes))
     for start in range(0, g.size, step):
         block = slice(start, start + step)
         points = replace(params, g=g[block, None], kappa=kappa[block, None])
-        coarse[block] = _hermite_average(points, spec, n, eta0, nodes)
-        fine[block] = _hermite_average(points, spec, n, eta0, 2 * nodes)
-    delta = np.abs(fine - coarse)
-    worst = int(np.argmax(delta))  # the first NaN, if any
-    if not delta[worst] <= tol:
-        point = f"g = {g[worst]:.6g} ueV, kappa = {kappa[worst]:.6g} ueV"
-        if params.kappa_s > 0:
-            point += (f" (g/kappa_s = {g[worst] / params.kappa_s:.6g}, "
-                      f"kappa/kappa_s = {kappa[worst] / params.kappa_s:.6g})")
-        raise QuadratureConvergenceError(
-            f"Gauss-Hermite average did not converge: {nodes}->{2*nodes} nodes "
-            f"moved the result by {delta[worst]:.3e} (tol {tol:.1e}) at {point}")
-    return float(fine[0]) if not shape else fine.reshape(shape)
+        coarse_nodes = _hermite_efficiency(points, spec, nodes)
+        fine_nodes = _hermite_efficiency(points, spec, 2 * nodes)
+        for i, k in enumerate(counts[:valid]):
+            coarse[i, block] = _hermite_average(*coarse_nodes, k, eta0)
+            fine[i, block] = _hermite_average(*fine_nodes, k, eta0)
+    for delta in np.abs(fine - coarse):
+        worst = int(np.argmax(delta))  # the first NaN, if any
+        if not delta[worst] <= tol:
+            point = f"g = {g[worst]:.6g} ueV, kappa = {kappa[worst]:.6g} ueV"
+            if params.kappa_s > 0:
+                point += (f" (g/kappa_s = {g[worst] / params.kappa_s:.6g}, "
+                          f"kappa/kappa_s = {kappa[worst] / params.kappa_s:.6g})")
+            raise QuadratureConvergenceError(
+                f"Gauss-Hermite average did not converge: {nodes}->{2*nodes} nodes "
+                f"moved the result by {delta[worst]:.3e} (tol {tol:.1e}) at {point}")
+    if valid < len(counts):
+        raise ValueError("n must be >= 1")
+    values = [float(row[0]) if not shape else row.reshape(shape) for row in fine]
+    return values[0] if scalar else values
 
 
 def scattering_time(spec: PulseSpectrum) -> float:

@@ -1,3 +1,4 @@
+import configparser
 import importlib
 import importlib.util
 import json
@@ -8,11 +9,12 @@ from pathlib import Path
 
 import pytest
 
-from ghzsim import circuit
+from ghzsim import circuit, cli
 from ghzsim.circuit import AnalyzerConfig, run_analyzer
 from ghzsim.cli import (_analyzer_config, _fmt, _settings, build_parser, cmd_analyze, main,
                         parse_state_spec)
-from ghzsim.scattering import CavityQDParams, PulseSpectrum, average_efficiency, eta1
+from ghzsim.scattering import (CavityQDParams, PulseSpectrum, average_efficiency, error_prob,
+                               eta1)
 from ghzsim.states import GhzLabel
 from oracles import reference_label
 
@@ -68,6 +70,18 @@ class TestReflectionCommand:
                                  "eta1", "p2"]
         params = CavityQDParams.resonant(g=30.0, kappa=270.0, kappa_s=30.0, gamma=0.3)
         assert float(rows[0]["eta1"]) == pytest.approx(eta1(params, 0.0), rel=1e-12)
+
+    def test_eta1_and_p2_equal_the_scattering_functions(self, tmp_path):
+        code, text = run_cli(["reflection", "--config", "paper_fig5", "--omega-x", "2.5",
+                              "--omega-range=-300:300:61", "--format", "json"], tmp_path)
+        assert code == 0
+        params = CavityQDParams(g=30.0, kappa=270.0, kappa_s=30.0, gamma=0.3,
+                                omega_c=0.0, omega_x=2.5)
+        rows = json.loads(text)["rows"]
+        assert len(rows) == 61
+        for row in rows:
+            assert row["eta1"] == eta1(params, row["omega_ueV"])
+            assert row["p2"] == error_prob(params, row["omega_ueV"])
 
     def test_range_below_zero_is_given_with_equals(self, tmp_path):
         # "--omega-range -300:300:601" reads the value as an option (exit 2)
@@ -568,6 +582,31 @@ class TestConfigHandling:
         _, text = run_cli(["table1", "--config", str(cfg), "--g", "20",
                            "--n-list", "2"], tmp_path, "o2.csv")
         assert csv_meta(text)["g"] == "20"
+
+    def test_file_in_working_directory_wins_over_cached_profile(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        argv = ["table1", "--config", "paper_fig5", "--n-list", "2"]
+        _, text = run_cli(argv, tmp_path, "a.csv")
+        assert (csv_meta(text)["config_file"], csv_meta(text)["g"]) == (
+            "builtin:paper_fig5.cfg", "30")
+        for g in ("12", "14"):  # the file is read again on every run
+            (tmp_path / "paper_fig5.cfg").write_text(f"[scattering]\ng = {g}\n")
+            _, text = run_cli(argv, tmp_path, f"{g}.csv")
+            assert (csv_meta(text)["config_file"], csv_meta(text)["g"]) == (
+                "paper_fig5.cfg", g)
+
+    def test_flag_overrides_leave_the_bundled_profile_unchanged(self, tmp_path):
+        argv = ["table1", "--config", "paper_fig5", "--n-list", "2,20"]
+        _, before = run_cli(argv, tmp_path, "a.csv")
+        _, changed = run_cli(argv + ["--g", "40", "--sigma", "1.1", "--eta0", "0.5",
+                                     "--quad-nodes", "32", "--t2", "1,2"], tmp_path, "b.csv")
+        assert csv_meta(changed)["g"] == "40"
+        _, after = run_cli(argv, tmp_path, "c.csv")
+        assert after == before
+        parser = configparser.ConfigParser()
+        parser.read_string((Path(cli.__file__).parent / "configs" / "paper_fig5.cfg").read_text())
+        assert cli._bundled_profile("paper_fig5.cfg") == {
+            section: dict(parser.items(section)) for section in parser.sections()}
 
     def test_missing_config_exits_2(self, tmp_path):
         code, _ = run_cli(["table1", "--config", "no-such-profile"], tmp_path)

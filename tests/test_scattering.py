@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ghzsim import scattering
+from ghzsim import cli, scattering
 from ghzsim.scattering import (MAX_QUAD_NODES, CavityQDParams, PulseSpectrum,
                                QuadratureConvergenceError, ReflectionPair,
                                _hermite_nodes, average_efficiency, cooperativity, error_prob,
@@ -48,10 +48,12 @@ class TestReflection:
         assert pair.r1.imag == pytest.approx(0.0, abs=1e-15)
 
     def test_rejects_nonfinite_omega(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^omega must be finite, got nan$"):
             reflection_coeffs(STANDARD, float("nan"))
-        with pytest.raises(ValueError):
-            reflection_coeffs(STANDARD, float("inf"))
+        with pytest.raises(ValueError, match=r"^omega must be finite, got -inf$"):
+            reflection_coeffs(STANDARD, float("-inf"))
+        with pytest.raises(ValueError, match=r"^omega must be finite, got inf$"):
+            reflection_coeffs(STANDARD, np.array([0.0, np.inf]))
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -237,6 +239,76 @@ class TestAverageEfficiency:
             point = CavityQDParams.resonant(g=g[i, j], kappa=kappa[i, j],
                                             kappa_s=30.0, gamma=0.3)
             assert values[i, j] == average_efficiency(point, spec, 3, eta0=0.9)
+
+    @pytest.mark.parametrize("eta0", [1.0, 0.9])
+    @pytest.mark.parametrize("counts", [[2, 3, 4, 5, 6, 7, 8, 20], [20, 2, 7, 2, 1], [5]])
+    def test_count_sequence_equals_single_calls(self, counts, eta0):
+        spec = PulseSpectrum(omega_c=0.0, sigma=0.6)
+        values = average_efficiency(TABLE_PARAMS, spec, counts, eta0=eta0)
+        assert values == [average_efficiency(TABLE_PARAMS, spec, n, eta0=eta0)
+                          for n in counts]
+        assert all(type(v) is float for v in values)
+
+    def test_count_sequence_on_grid_equals_single_calls(self):
+        # 5 x 9 points cross the block boundary at 4096 // (2 * 64) = 32 points
+        g = np.linspace(0.0, 120.0, 5)[:, None] * np.ones(9)
+        kappa = np.ones(5)[:, None] * np.geomspace(30.0, 900.0, 9)
+        grid = CavityQDParams.resonant(g=g, kappa=kappa, kappa_s=30.0, gamma=0.3)
+        spec = PulseSpectrum(omega_c=0.2, sigma=0.3)
+        counts = [8, 2, 3, 2]
+        values = average_efficiency(grid, spec, counts, eta0=0.9)
+        assert len(values) == len(counts)
+        for n, value in zip(counts, values):
+            single = average_efficiency(grid, spec, n, eta0=0.9)
+            assert value.shape == (5, 9)
+            assert np.array_equal(value, single)
+
+    def test_empty_count_sequence(self):
+        spec = PulseSpectrum(omega_c=0.0, sigma=0.6)
+        assert average_efficiency(TABLE_PARAMS, spec, []) == []
+
+    @pytest.mark.parametrize("sigma, nodes, counts", [
+        (20.0, 4, [20, 8, 2]), (20.0, 4, [2, 8, 20]), (60.0, 2, [2, 0]),
+        (0.6, 64, [2, 0, 3]), (0.6, 64, [0, 2]), (20.0, 4, [0, 2])])
+    def test_count_sequence_fails_as_the_first_failing_count(self, sigma, nodes, counts):
+        spec = PulseSpectrum(omega_c=0.0, sigma=sigma)
+        for n in counts:  # the loop of single calls
+            try:
+                average_efficiency(TABLE_PARAMS, spec, n, nodes=nodes)
+            except (QuadratureConvergenceError, ValueError) as exc:
+                expected = exc
+                break
+        with pytest.raises(type(expected)) as caught:
+            average_efficiency(TABLE_PARAMS, spec, counts, nodes=nodes)
+        assert type(caught.value) is type(expected)
+        assert str(caught.value) == str(expected)
+
+    def test_failing_counts_give_their_own_messages(self):
+        # the cases above check list order only if the counts fail differently;
+        # n = 20 converges there, n = 8 and n = 2 do not
+        spec = PulseSpectrum(omega_c=0.0, sigma=20.0)
+        average_efficiency(TABLE_PARAMS, spec, 20, nodes=4)
+        messages = set()
+        for n in (8, 2):
+            with pytest.raises(QuadratureConvergenceError) as caught:
+                average_efficiency(TABLE_PARAMS, spec, n, nodes=4)
+            messages.add(str(caught.value))
+        assert len(messages) == 2
+
+    @pytest.mark.parametrize("n_list", [None, "2", "20,2,2", "2,3,4,5,6,7,8,20"])
+    def test_table1_evaluates_reflection_once_per_rule(self, n_list, monkeypatch, capsys):
+        sizes = []
+        original = scattering.reflection_coeffs
+
+        def counted(params, omega):
+            sizes.append(np.size(omega))
+            return original(params, omega)
+
+        monkeypatch.setattr(scattering, "reflection_coeffs", counted)
+        argv = ["table1", "--config", "paper_fig5"]
+        assert cli.main(argv + ([] if n_list is None else ["--n-list", n_list])) == 0
+        capsys.readouterr()
+        assert sizes == [64, 128]
 
     def test_array_params_validated_per_point(self):
         with pytest.raises(ValueError, match="g must be finite, got inf"):
