@@ -22,15 +22,18 @@ and QD2; a detected photon leaves the vector, and its row keeps the photon's
 fate and the polarization it was left in. Every row has fed the same
 photons, so all rows have one length. The swapping network runs the same
 photon step with its remote spins as extra leading qubits; the analyzer is
-that layout with no spins. Exhaustive runs keep every child row; a
-Monte-Carlo run carries shots as rows, each keeping one drawn child per photon.
+that layout with no spins. Exhaustive runs keep every child row. In a
+Monte-Carlo run a row is one distinct (node, history) pair: each shot points
+to its row, draws one child of that row per photon, and the shots that drew
+the same child share one child row.
 `HybridState` is a per-branch view, built only for callers that ask for
 branches (`final_branches`, `NetworkState.branches`).
 
 Memory: a run holds at most MAX_STEP_BYTES at once. A pulse run whose step
 would pass it carries its nodes in smaller groups, one group after the
-other, since rows of different nodes never interact; its records are summed
-per key after every step rather than kept per row.
+other, since rows of different nodes never interact; a Monte-Carlo run
+carries its rows in halves, each with the shots that point to it. Records
+are summed per key after every step rather than kept per row.
 """
 from __future__ import annotations
 
@@ -218,7 +221,8 @@ def _step_bytes(rows: int, dim: int, blocks: int, n: int) -> int:
 
     The amplitudes count in child blocks of rows x dim/2: the parent rows (2),
     both QND arms (2) and the flipped arms (2) next to the `blocks` children,
-    or later the children next to their pruned copy. Every row's bookkeeping
+    or later the children next to their pruned copy. The flipped arms reuse
+    the arms' buffer; the count keeps them as margin. Every row's bookkeeping
     counts on top.
     """
     amps = dim * 8 * max(6 + blocks, 2 + 2 * blocks)
@@ -294,7 +298,7 @@ def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
-                 lost: list, held: int = 0, draws: np.ndarray | None = None) -> BranchStack:
+                 lost: list, held: int = 0, shots: tuple | None = None):
     """One full analyzer pass of one photon in every row; returns the child rows.
 
     `units` holds the scattering factors of both detector units per
@@ -306,9 +310,14 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
     gets a record of its own. Records are appended to `lost` as (fates,
     weights, nodes) arrays. The run ends there and nothing more is tracked,
     so photons still IN_CIRCUIT in a loss record count as LOST (`_pack`).
-    Given `draws`, one uniform per row, a row instead keeps one child drawn
-    over its children and its scattering loss (`_draw`), renormalized, and
-    nothing is pruned; a drawn loss books a record of weight 1 (one shot).
+    Given `shots`, a pair (uniforms, owner) of one uniform per shot and the
+    index of the shot's row, each shot instead draws one child of its row
+    over the row's children and scattering loss (`_draw`), and nothing is
+    pruned; a row's children and weights are computed once, whatever the
+    number of shots it holds. The child rows are the distinct (block, row)
+    pairs drawn, renormalized. A drawn loss books a record of weight 1 per
+    shot. Returns (children, live, owner): the shots still running, as
+    indices into the given ones, and the child row of each.
     A step whose working set (`_step_bytes`) plus the `held` bytes the caller
     keeps besides the stack would pass MAX_STEP_BYTES raises `_OverBudget`
     before it allocates or books anything.
@@ -338,9 +347,8 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
         np.multiply(e, arms, out=kids[:2])
     lost_w = np.vecdot(loss.T, _mass(arms, 2).T)  # side leakage
     # a reflection flips the photon and toggles the addressed QD in the +/- basis
-    flipped = f * arms
+    flipped = np.multiply(f, arms, out=arms)
     flipped *= _QD_SIGNS
-    del arms
     # recombination, second half-wave plate, final PBS: D1 = H, D2 = V
     clicks = kids[d3::2] if lossy else kids[d3:]
     np.add(flipped[0], flipped[1], out=clicks[0])
@@ -353,11 +361,17 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
     keep = weight > PRUNE_TOL
     picked = np.flatnonzero(keep)
     pruned = []
-    if draws is not None:  # each row keeps one child; drawing its scattering loss ends it
-        pick = _draw(np.vstack((weight, lost_w)), draws)
-        lost_w = (pick == len(codes)).astype(float)  # the record of one shot
-        live = np.flatnonzero(pick < len(codes))
-        picked = pick[live] * rows + live
+    if shots is not None:  # each shot keeps one child; drawing its scattering loss ends it
+        u, owner = shots
+        pick = _draw(np.vstack((weight, lost_w))[:, owner], u)
+        ended = pick == len(codes)
+        lost_w = np.bincount(owner, weights=ended, minlength=rows)  # one record per shot
+        live = np.flatnonzero(~ended)
+        picked = pick[live] * rows + owner[live]
+        if len(owner) == rows:  # one shot per row: the drawn pairs are distinct
+            owner = np.arange(len(live))
+        else:
+            picked, owner = np.unique(picked, return_inverse=True)
     elif len(picked) < keep.size:
         # D3 children and whole clicks at or below PRUNE_TOL join the row's loss;
         # a kept click's D1 or LOST child at or below it is booked as it is
@@ -389,10 +403,11 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
     child_pols = stack.pols[parent]
     child_pols[:, photon] = pols[block]
     weight = weight.ravel()[picked]
-    if draws is not None:  # a shot's row stays normalized
-        amps /= np.sqrt(weight)[:, None]
-    return BranchStack(amps, fates, child_pols, stack.node[parent],
-                       weight if draws is None else np.ones(len(picked)))
+    if shots is None:
+        return BranchStack(amps, fates, child_pols, stack.node[parent], weight)
+    amps /= np.sqrt(weight)[:, None]  # a shot's row stays normalized
+    return (BranchStack(amps, fates, child_pols, stack.node[parent], np.ones(len(picked))),
+            live, owner)
 
 
 @dataclass(frozen=True)
@@ -555,46 +570,66 @@ def _records(keys: np.ndarray, probs: np.ndarray, n: int) -> Records:
 def _evolve(vec: np.ndarray, units, eta0: float, order, book=None, draws=None):
     """All photons through the pipeline, from one row of `vec` per node of `units`.
 
-    Given `draws`, a (shots, n + 1) block of uniforms, the rows are shots
-    instead: a row's node indexes its uniforms (and its scattering factors in
-    a pulse run), and each step keeps one child per row (`_photon_step`).
-    Yields the final rows: one stack when the run fits MAX_STEP_BYTES. Rows
+    Given `draws`, a (shots, n + 1) block of uniforms, the run is sampled:
+    every shot starts in its own node's row, keeps its id (which indexes its
+    uniforms) and the index of its row, and each step draws one child per
+    shot (`_photon_step`). Yields the final rows: one stack when the run fits
+    MAX_STEP_BYTES, in a sampled run as (stack, shot ids, their rows). Rows
     of different nodes never interact, so a step that would pass the budget
     runs on half of the stack's nodes while the other half waits its turn;
-    the halves are carried to the end one after the other. A step that
-    passes the budget on a single node's rows is refused; `check_fits`
+    in a sampled run no two rows interact, so the step halves its rows
+    instead, each half with the shots it holds. The halves are carried to
+    the end one after the other. A step that passes the budget on a single
+    node's rows (a sampled run: on a single row) is refused; `check_fits`
     refuses a run whose first step does so before it starts. Each step's
     loss records go to `book` right after the step, or are dropped when it
     is None.
     """
-    start = units[2].shape[1] if draws is None else len(draws)
-    todo = [(np.arange(start), None, 0)]  # (nodes, their rows, photons fed)
+    nodes = np.arange(units[2].shape[1])
+    shots = None
+    if draws is not None:  # every shot starts in its node's row: one row if one node
+        shot = np.arange(len(draws))
+        shots = (shot, shot % len(nodes))
+    todo = [(nodes, None, 0, shots)]  # (nodes, their rows, photons fed, their shots)
     while todo:
-        ids, stack, fed = todo.pop()
-        while fed < len(order):
+        ids, stack, fed, shots = todo.pop()
+        while fed < len(order) and (stack is None or len(stack)):  # stop once no row is left
             if stack is None:  # no photon fed yet: the rows are built only now
                 stack = _initial_stack(vec, len(order), ids)
-            held = sum(s.nbytes for _, s, _ in todo if s is not None)
+            held = sum(s.nbytes for _, s, _, _ in todo if s is not None)
             lost: list = []
             try:
-                stack = _photon_step(stack, order[fed], units, eta0, lost, held,
-                                     None if draws is None else draws[stack.node, fed])
+                if shots is None:
+                    stack = _photon_step(stack, order[fed], units, eta0, lost, held)
+                else:
+                    shot, owner = shots
+                    stack, live, owner = _photon_step(stack, order[fed], units, eta0, lost,
+                                                      held, (draws[shot, fed], owner))
+                    shots = (shot[live], owner)
             except _OverBudget:
-                if len(ids) == 1:
+                if len(ids if shots is None else stack) == 1:
                     raise
-                ids, rest = np.array_split(ids, 2)
+                ids, rest = np.array_split(ids, 2)  # a sampled run's rows before photon 1
+                if shots is None:
+                    later, todo_shots = stack.node >= rest[0], None
+                else:  # halve the rows, each half with the shots it holds
+                    half = (len(stack) + 1) // 2
+                    later = np.arange(len(stack)) >= half
+                    shot, owner = shots
+                    mine = owner < half
+                    todo_shots = (shot[~mine], owner[~mine] - half)
+                    shots = (shot[mine], owner[mine])
                 if fed:
-                    later = stack.node >= rest[0]
-                    todo.append((rest, stack.select(later), fed))
+                    todo.append((rest, stack.select(later), fed, todo_shots))
                     stack = stack.select(~later)
                 else:
-                    todo.append((rest, None, 0))
+                    todo.append((rest, None, 0, todo_shots))
                     stack = None
                 continue
             fed += 1
             if book is not None:
                 book(lost)
-        yield stack
+        yield stack if shots is None else (stack, *shots)
 
 
 def check_fits(n: int, config: AnalyzerConfig) -> None:
@@ -648,16 +683,19 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
             for branch in stack.views()]
 
 
-# amplitudes of the rows a Monte-Carlo run carries at once: its shots go in groups
-# of this many amplitudes' worth of rows, so its memory does not grow with the shots
+# amplitudes of the rows a pulse Monte-Carlo run carries at once: its shots go in
+# groups of this many amplitudes' worth of rows, so its memory does not grow with
+# the shots; a one-node run shares rows and takes _SHOT_BLOCK // 16 shots a group
 _SHOT_BLOCK = 2 ** 16
 
 
 def _shot_groups(config: AnalyzerConfig, pulse: bool, n: int, shots: int):
-    """(units, node weights, draws) per group of shots; a pulse group draws each
-    shot's omega (the spectral density is a normal law with std sigma/sqrt2) first."""
+    """(units, node weights, draws) per group of shots. A pulse group draws each
+    shot's omega (the spectral density is a normal law with std sigma/sqrt2)
+    first, one node per shot. A one-node group draws only uniforms, so its size
+    (that of an n = 2 pulse group, as its shots share rows) keeps the stream."""
     rng = np.random.default_rng(config.seed)
-    size = max(1, _SHOT_BLOCK // (4 * 2 ** n))
+    size = max(1, _SHOT_BLOCK // (4 * 2 ** n)) if pulse else _SHOT_BLOCK // 16
     units = None if pulse else _units(*config.reflection_pairs())
     for start in range(0, shots, size):
         rows = min(size, shots - start)
@@ -670,7 +708,7 @@ def _shot_groups(config: AnalyzerConfig, pulse: bool, n: int, shots: int):
 
 def _run(photons: QubitRegister, config: AnalyzerConfig, order, shots: int):
     """Exact records, weighted by quadrature node, or the frequencies over `shots`
-    sampled rows (`_shot_groups`), each of which draws one QD pair at the end."""
+    sampled shots (`_shot_groups`), each of which draws one QD pair at the end."""
     n = photons.num_qubits
     vec = _with_spins(photons.amplitudes)
     pulse = config.spectrum is not None and config.mode == "realistic"
@@ -698,14 +736,16 @@ def _run(photons: QubitRegister, config: AnalyzerConfig, order, shots: int):
                 add(_pack(fates), w * node_weight[node])
 
         for stack in _evolve(vec, units, config.eta0, order, book, draws):
-            weights = _qd_readouts(stack.amps)[1]
             if draws is None:
+                weights = _qd_readouts(stack.amps)[1]
                 row, pair = np.nonzero(weights > PRUNE_TOL)
                 add(_pack(stack.fates)[row] + 1 + pair,
                     weights[row, pair] * node_weight[stack.node[row]])
-            else:
-                pair = _draw(weights.T, draws[stack.node, n])
-                add(_pack(stack.fates) + 1 + pair, np.ones(len(stack)))
+            else:  # each shot draws its pair from its row's four weights
+                stack, shot, owner = stack
+                weights = _qd_readouts(stack.amps)[1][owner]
+                add(_pack(stack.fates)[owner] + 1 + _draw(weights.T, draws[shot, n]),
+                    np.ones(len(shot)))
             del stack, weights  # the next node group runs without them
     return _records(keys, probs / shots if sampled else probs, n)
 

@@ -604,6 +604,89 @@ class TestMonteCarlo:
 
         assert abs(peak(100_000) - peak(10_000)) <= 2 ** 20
 
+    ONE_NODE = {
+        "ideal": AnalyzerConfig(mode="ideal", enumeration="monte-carlo", seed=6),
+        "detuned": AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=1.5, eta0=0.9,
+                                  enumeration="monte-carlo", seed=6),
+        "no-clicks": AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=-0.8, eta0=0.0,
+                                    enumeration="monte-carlo", seed=6),
+    }
+
+    @staticmethod
+    def one_row_per_shot(monkeypatch):
+        """Give every shot of a one-node group a node of its own, so no row is shared."""
+        groups = circuit._shot_groups
+
+        def per_shot(config, pulse, n, shots):
+            for units, node_weight, draws in groups(config, pulse, n, shots):
+                yield ([None if u is None else np.repeat(u, len(draws), axis=1) for u in units],
+                       node_weight, draws)
+
+        monkeypatch.setattr(circuit, "_shot_groups", per_shot)
+
+    @pytest.mark.parametrize("kind", ONE_NODE)
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("shots", [4095, 4096, 4097])
+    def test_shared_rows_give_the_records_of_one_row_per_shot(self, kind, n, shots, monkeypatch):
+        # shots with the same history hold bit-identical rows, so sharing them
+        # changes no weight, no draw and no count
+        photons = ghz_state(n, tuple(np.random.default_rng(n).integers(0, 2, n).tolist()))
+        shared = run_analyzer(photons, self.ONE_NODE[kind], shots=shots)
+        self.one_row_per_shot(monkeypatch)
+        alone = run_analyzer(photons, self.ONE_NODE[kind], shots=shots)
+        assert np.array_equal(shared.digits, alone.digits)
+        assert np.array_equal(shared.probs, alone.probs)
+
+    @pytest.mark.parametrize("kind", ONE_NODE)
+    def test_one_node_records_do_not_depend_on_the_shot_block(self, kind, monkeypatch):
+        # one-node groups draw only uniforms, so their size leaves the stream as it is
+        photons = ghz_state(4, (0, 1, 1, 0))
+        reference = run_analyzer(photons, self.ONE_NODE[kind], shots=20_000)
+        for block in (2 ** 12, 2 ** 18):
+            monkeypatch.setattr(circuit, "_SHOT_BLOCK", block)
+            got = run_analyzer(photons, self.ONE_NODE[kind], shots=20_000)
+            assert got == reference and np.array_equal(got.probs, reference.probs)
+
+    @pytest.mark.parametrize("kind", ONE_NODE)
+    def test_one_node_steps_run_on_shared_rows(self, kind, monkeypatch):
+        steps = []
+        step = circuit._photon_step
+
+        def counted(stack, *args):
+            steps.append((len(stack), len(args[-1][0])))
+            return step(stack, *args)
+
+        monkeypatch.setattr(circuit, "_photon_step", counted)
+        run_analyzer(ghz_state(6, (1, 0, 0, 1, 1, 0)), self.ONE_NODE[kind], shots=10_000)
+        group = circuit._SHOT_BLOCK // 16
+        firsts = [steps[i] for i in range(0, len(steps), 6)]  # one step per photon and group
+        assert firsts == [(1, group), (1, group), (1, 10_000 - 2 * group)]
+        assert all(rows <= live <= group for rows, live in steps)
+        assert any(rows > 1 for rows, _ in steps)
+
+    def test_one_node_budget_splits_rows_mid_run(self, monkeypatch):
+        # the third photon's step on 28 shared rows passes the budget, and so
+        # does its half; no row is refused, and no record moves
+        config = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=1.5, eta0=0.9,
+                                enumeration="monte-carlo", seed=3)
+        photons = ghz_state(8, (0, 1) * 4)
+        reference = run_analyzer(photons, config, shots=4096)
+        refused = []
+        step = circuit._photon_step
+
+        def counted(stack, *args):
+            try:
+                return step(stack, *args)
+            except circuit._OverBudget:
+                refused.append(len(stack))
+                raise
+
+        monkeypatch.setattr(circuit, "_photon_step", counted)
+        monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 700_000)
+        got = run_analyzer(photons, config, shots=4096)
+        assert refused and min(refused) > 1
+        assert got == reference and np.array_equal(got.probs, reference.probs)
+
 
 
 class TestClassify:
