@@ -14,26 +14,27 @@ equivalent to sending all photons through together. Branch amplitudes are
 kept unnormalized so that squared norms are physical probabilities.
 
 Branch layout: the live branches of a run are the rows of one `BranchStack`.
-A row is one (quadrature node, branch) pair: a monochromatic run has one
-node, a pulse-averaged run one per Gauss-Hermite node, and each row scatters
-with its own node's amplitudes. A row vector holds only the qubits still in
-play, that is the photons not yet detected (in photon order) followed by QD1
-and QD2; a detected photon leaves the vector, and its row keeps the photon's
-fate and the polarization it was left in. Every row has fed the same
-photons, so all rows have one length. The swapping network runs the same
-photon step with its remote spins as extra leading qubits; the analyzer is
-that layout with no spins. Exhaustive runs keep every child row. In a
-Monte-Carlo run a row is one distinct (node, history) pair: each shot points
-to its row, draws one child of that row per photon, and the shots that drew
-the same child share one child row.
+A row vector holds only the qubits still in play, that is the photons not yet
+detected (in photon order) followed by QD1 and QD2; a detected photon leaves
+the vector, and its row keeps the photon's fate and the polarization it was
+left in. Every row has fed the same photons, so all rows have one length.
+The swapping network runs the same photon step with its remote spins as
+extra leading qubits; the analyzer is that layout with no spins. Exhaustive
+runs keep every child row. In a Monte-Carlo run a row is one distinct
+history: each shot points to its row, draws one child of that row per
+photon, and the shots that drew the same child share one child row.
 `HybridState` is a per-branch view, built only for callers that ask for
 branches (`final_branches`, `NetworkState.branches`).
 
-Memory: a run holds at most MAX_STEP_BYTES at once. A pulse run whose step
-would pass it carries its nodes in smaller groups, one group after the
-other, since rows of different nodes never interact; a Monte-Carlo run
-carries its rows in halves, each with the shots that point to it. Records
-are summed per key after every step rather than kept per row.
+Pulse averages: with matched detector units, frequencies scatter a row alike
+but for the flip amplitude f of its click children, the error amplitude e of
+its D3 children and its loss probability. So a pulse-averaged run is one run
+with their envelope (`_units`), whose records weigh by moments of the nodes'
+ratios to it (`_moments`); a Monte-Carlo shot weighs its draws by its own.
+
+Memory: a run holds at most MAX_STEP_BYTES at once; a Monte-Carlo run carries
+its rows in halves, each with the shots that point to it, where a step would
+pass it. Records are summed per key, not kept per row.
 """
 from __future__ import annotations
 
@@ -52,8 +53,8 @@ from .states import GhzLabel, QubitRegister
 PRUNE_TOL = 1e-15
 
 # most bytes a run may hold at once: one photon step's working set plus the
-# rows waiting their turn (`_step_bytes`); a larger step is run on fewer
-# quadrature nodes at a time, and a run that does not fit even so is refused
+# rows waiting their turn (`_step_bytes`); a Monte-Carlo step over it runs on
+# half of its rows at a time, and any other run that does not fit is refused
 # before it allocates, not left to the OOM killer
 MAX_STEP_BYTES = 2 ** 30
 
@@ -84,7 +85,8 @@ class AnalyzerConfig:
     mode        : "ideal" (r0, r1 = -1, +1) or "realistic" (computed from qnd params)
     qnd1, qnd2  : cavity/QD parameters per detector; qnd2 defaults to qnd1
     omega       : monochromatic photon frequency (ueV); realistic default is resonance
-    spectrum    : Gaussian pulse instead of a fixed frequency (exclusive with omega)
+    spectrum    : Gaussian pulse instead of a fixed frequency (exclusive with omega);
+                  needs matched units, qnd2 == qnd1
     eta0        : efficiency of the destructive detectors, applied per click
     enumeration : "exhaustive" branch enumeration or "monte-carlo" sampling
     seed        : RNG seed for monte-carlo runs
@@ -169,27 +171,24 @@ class BranchStack:
     amps   : (R, dim) unnormalized row vectors (spins, photons still IN_CIRCUIT, QD1, QD2)
     fates  : (R, n) int8 fate code (index into `_FATES`) of every photon
     pols   : (R, n) int8 polarization bit each detected photon was left in
-    node   : (R,) quadrature node of the row; 0 in monochromatic runs
     weight : (R,) squared norm of each row
     """
 
     amps: np.ndarray
     fates: np.ndarray
     pols: np.ndarray
-    node: np.ndarray
     weight: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.node)
+        return len(self.weight)
 
     @property
     def nbytes(self) -> int:
-        return sum(a.nbytes for a in (self.amps, self.fates, self.pols, self.node,
-                                      self.weight))
+        return sum(a.nbytes for a in (self.amps, self.fates, self.pols, self.weight))
 
     def select(self, rows: np.ndarray) -> BranchStack:
         return BranchStack(self.amps[rows], self.fates[rows], self.pols[rows],
-                           self.node[rows], self.weight[rows])
+                           self.weight[rows])
 
     def views(self) -> list[HybridState]:
         return [HybridState(tuple(_FATES[c] for c in fates), vec, tuple(pols))
@@ -201,16 +200,10 @@ class _OverBudget(ValueError):
     """A branch array or photon step that would pass MAX_STEP_BYTES."""
 
 
-def _refuse(n: int, nodes: int, what: str) -> _OverBudget:
-    return _OverBudget(f"{n} photons with {nodes} quadrature node(s) {what}, over the "
-                       f"{MAX_STEP_BYTES}-byte budget; runs this large need the "
-                       f"conclusive-only mode of ROADMAP.md item 3")
-
-
 # bookkeeping bytes of a photon step besides the amplitudes, with 2 more per
-# photon and row for the fates and pols: per parent row its node's scattering
-# factors and row fields, per child row its weight, prune masks, kept index,
-# block, parent, node and kept weight; and the ufunc buffers of one operation
+# photon and row for the fates and pols: per parent row its `_scale` and row
+# fields, per child row its weight, prune masks, weighed pruned mass, kept
+# index, block, parent and kept weight; and the ufunc buffers of one operation
 _PARENT_ROW_BYTES = 96
 _CHILD_ROW_BYTES = 64
 _BUFFER_BYTES = 2 ** 18
@@ -230,36 +223,63 @@ def _step_bytes(rows: int, dim: int, blocks: int, n: int) -> int:
     return rows * (amps + book) + _BUFFER_BYTES
 
 
-def _check_step(n: int, nodes: int, rows: int, dim: int, blocks: int, held: int = 0) -> None:
+def _check_step(n: int, rows: int, dim: int, blocks: int, held: int = 0) -> None:
     """Refuse a photon step on `rows` rows of `dim` amplitudes that would pass the budget."""
     need = held + _step_bytes(rows, dim, blocks, n)
     if need > MAX_STEP_BYTES:
-        raise _refuse(n, nodes, f"need {need} bytes for a photon step on "
-                      f"{rows} rows of {dim} amplitudes")
+        raise _OverBudget(f"{n} photons need {need} bytes for a photon step on {rows} rows of "
+                          f"{dim} amplitudes, over the {MAX_STEP_BYTES}-byte budget; runs this "
+                          f"large need the conclusive-only mode of ROADMAP.md item 3")
 
 
-def _initial_stack(vec: np.ndarray, n: int, nodes: np.ndarray) -> BranchStack:
-    """One row of `vec` (spins, n photons, QD1, QD2) per entry of `nodes`, as a read-only view."""
-    rows = len(nodes)
-    return BranchStack(np.broadcast_to(vec, (rows, len(vec))),
-                       np.full((rows, n), _IN, np.int8), np.zeros((rows, n), np.int8),
-                       nodes, np.full(rows, norm2(vec)))
+def _initial_stack(vec: np.ndarray, n: int) -> BranchStack:
+    """The one row of `vec` (spins, n photons, QD1, QD2), as a read-only view."""
+    return BranchStack(np.broadcast_to(vec, (1, len(vec))), np.full((1, n), _IN, np.int8),
+                       np.zeros((1, n), np.int8), np.full(1, norm2(vec)))
+
+
+_ONES = np.ones((3, 1))  # `_scale` of a run whose records weigh as they are
 
 
 def _units(refl1: ReflectionPair, refl2: ReflectionPair):
-    """Per-node scattering factors of both detector units, as the photon step uses them.
+    """Scattering factors of both detector units as the photon step uses them, and ratios.
 
-    Returns (f / 2, e / sqrt2, loss probability / 2), the first two of shape
-    (2, K, 1, 1, 1) and the last (2, K), for flip amplitude f and error
-    amplitude e of QND1 (index 0) and QND2 at each of K quadrature nodes; the
-    halves and 1/sqrt2 are the beam splitter and half-wave plate factors.
-    e is None when it is 0 everywhere (ideal units): no D3 child exists.
+    Returns ((f / 2, e / sqrt2, loss probability / 2), ratios) for flip
+    amplitude f and error amplitude e of QND1 (index 0) and QND2, with the
+    beam splitter and half-wave plate factors; e is None when it is 0
+    everywhere (ideal units): no D3 child exists. Ratios are ones (3, 1) at
+    one frequency. At K frequencies of matched units, f, e and loss are their
+    maxima, and ratios (3, K) each one's |e|^2, |f|^2 and loss relative to them.
     """
     f = np.array([np.atleast_1d(r.flip_amplitude()) for r in (refl1, refl2)], dtype=complex)
     e = np.array([np.atleast_1d(r.error_amplitude()) for r in (refl1, refl2)], dtype=complex)
     loss = np.maximum(0.0, 1.0 - np.abs(f) ** 2 - np.abs(e) ** 2)
+    ratios = _ONES
+    if f.shape[1] > 1:  # both units scatter with the envelope
+        powers = np.array([np.abs(e[0]) ** 2, np.abs(f[0]) ** 2, loss[0]])
+        top = powers.max(axis=1, keepdims=True)
+        ratios = np.divide(powers, top, out=np.ones_like(powers), where=top > 0)
+        e, f, loss = np.tile(top[:, None], (1, 2, 1))
+        e, f = np.sqrt(e), np.sqrt(f)
     errors = e[..., None, None, None] * SQRT_HALF if e.any() else None
-    return f[..., None, None, None] / 2.0, errors, loss / 2.0
+    return (f[..., None, None, None] / 2.0, errors, loss / 2.0), ratios
+
+
+def _moments(ratios: np.ndarray, weights: np.ndarray, n: int) -> np.ndarray:
+    """M[a, b, c] = sum_k weights_k r_f,k^a r_e,k^b r_loss,k^c for a, b <= n + 1, c <= 1,
+    for the (3, K) (r_e, r_f, r_loss) `ratios` of K frequencies (`_units`)."""
+    e, f, loss = ratios[..., None] ** np.arange(n + 2)  # (K, n + 2) powers of each
+    return np.einsum("k,ka,kb,kc->abc", weights, f, e, loss[:, :2])
+
+
+def _scale(moments: np.ndarray, fates: np.ndarray) -> np.ndarray:
+    """Factors M[a, b + 1, 0], M[a + 1, b, 0], M[a, b, 1] and M[a, b, 0] (`_moments`) of
+    the D3 children, click children, scattering loss and record of each row of fates
+    with a photons that reached a click (D1, D2 or LOST) and b sent to D3: with matched
+    units, a record weighs f^2a e^2b loss^c at a frequency times a frequency-free weight."""
+    b = np.count_nonzero(fates == _D3, axis=1)
+    a = np.count_nonzero(fates != _IN, axis=1) - b
+    return moments[a + [[0], [1], [0], [0]], b + [[1], [0], [0], [0]], [[0], [0], [1], [0]]]
 
 
 def _mass(x: np.ndarray, lead: int = 1) -> np.ndarray:
@@ -289,6 +309,8 @@ _BLOCKS = {(errors, lossy): (np.array(([_D3, _D3] if errors else [])
                              np.array(([1, 0] if errors else [])
                                       + ([0, 0, 1, 1] if lossy else [0, 1]), np.int8))
            for errors in (False, True) for lossy in (False, True)}
+# row of `scale` (`_photon_step`) that weighs each block of children, then scattering loss
+_KINDS = {key: np.append(codes != _D3, 2) for key, (codes, _) in _BLOCKS.items()}
 
 
 def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -297,27 +319,27 @@ def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.count_nonzero(cum <= u * cum[-1], axis=0)
 
 
-def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
-                 lost: list, held: int = 0, shots: tuple | None = None):
+def _photon_step(stack: BranchStack, photon: int, units, eta0: float, lost: list,
+                 held: int = 0, scale: np.ndarray = _ONES, shots: tuple | None = None):
     """One full analyzer pass of one photon in every row; returns the child rows.
 
-    `units` holds the scattering factors of both detector units per
-    quadrature node (`_units`); a row scatters with its node's factors. The
-    photon leaves every child's vector. Children come in blocks: D3 via QND1,
-    D3 via QND2, D1[, LOST on a failed click], D2[, LOST]. A row's scattering
-    loss, its D3 children and whole clicks at or below PRUNE_TOL go to the
-    row's loss record; a kept click's D1 or LOST child at or below PRUNE_TOL
-    gets a record of its own. Records are appended to `lost` as (fates,
-    weights, nodes) arrays. The run ends there and nothing more is tracked,
-    so photons still IN_CIRCUIT in a loss record count as LOST (`_pack`).
+    `units` holds the scattering factors of both detector units (`_units`).
+    The photon leaves every child's vector. Children come in blocks: D3 via
+    QND1, D3 via QND2, D1[, LOST on a failed click], D2[, LOST]. A row's
+    scattering loss, its D3 children and whole clicks at or below PRUNE_TOL
+    go to the row's loss record; a kept click's D1 or LOST child at or below
+    PRUNE_TOL gets a record of its own. `scale` rows 0, 1 and 2 weigh D3
+    children, click children and scattering loss (`_scale`) in the (fates,
+    weights) records appended to `lost`. The run ends there, so photons still
+    IN_CIRCUIT in a loss record count as LOST (`_pack`).
     Given `shots`, a pair (uniforms, owner) of one uniform per shot and the
-    index of the shot's row, each shot instead draws one child of its row
-    over the row's children and scattering loss (`_draw`), and nothing is
-    pruned; a row's children and weights are computed once, whatever the
-    number of shots it holds. The child rows are the distinct (block, row)
-    pairs drawn, renormalized. A drawn loss books a record of weight 1 per
-    shot. Returns (children, live, owner): the shots still running, as
-    indices into the given ones, and the child row of each.
+    index of the shot's row, each shot instead draws one child of its row or
+    its scattering loss, weighed by its column of `scale` (`_draw`), and
+    nothing is pruned; a row's children and weights are computed once,
+    whatever the number of shots it holds. The child rows are the distinct
+    (block, row) pairs drawn, renormalized. A drawn loss books a record of
+    weight 1 per shot. Returns (children, live, owner): the shots still
+    running, as indices into the given ones, and the child row of each.
     A step whose working set (`_step_bytes`) plus the `held` bytes the caller
     keeps besides the stack would pass MAX_STEP_BYTES raises `_OverBudget`
     before it allocates or books anything.
@@ -329,15 +351,12 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
     right = 2 ** fates0[photon + 1:].count(_IN)
     t = stack.amps.reshape(rows, -1, 2, right, 4)  # (row, left, photon, right, QD pair)
     f, e, loss = units
-    nodes = loss.shape[1]
     errors = e is not None
-    if nodes > 1:  # every row scatters with its own node's factors
-        f, loss = f[:, stack.node], loss[:, stack.node]
-        e = e[:, stack.node] if errors else None
     lossy = eta0 < 1.0
     codes, pols = _BLOCKS[errors, lossy]
+    kinds = _KINDS[errors, lossy]
     d3 = 2 if errors else 0  # number of D3 blocks
-    _check_step(len(fates0), nodes, rows, t[0].size, len(codes), held)
+    _check_step(len(fates0), rows, t[0].size, len(codes), held)
     kids = np.empty((len(codes), rows) + t.shape[1:2] + t.shape[3:], dtype=complex)
     # half-wave plate, then the PBS sends V to QND1 and H to QND2 (arms times sqrt2)
     arms = np.empty((2,) + kids.shape[1:], dtype=complex)
@@ -363,7 +382,7 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
     pruned = []
     if shots is not None:  # each shot keeps one child; drawing its scattering loss ends it
         u, owner = shots
-        pick = _draw(np.vstack((weight, lost_w))[:, owner], u)
+        pick = _draw(np.vstack((weight, lost_w))[:, owner] * scale[kinds], u)
         ended = pick == len(codes)
         lost_w = np.bincount(owner, weights=ended, minlength=rows)  # one record per shot
         live = np.flatnonzero(~ended)
@@ -372,28 +391,30 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
             owner = np.arange(len(live))
         else:
             picked, owner = np.unique(picked, return_inverse=True)
-    elif len(picked) < keep.size:
-        # D3 children and whole clicks at or below PRUNE_TOL join the row's loss;
-        # a kept click's D1 or LOST child at or below it is booked as it is
-        whole = ~keep
-        if lossy:
-            clicked = (weight[d3::2] + weight[d3 + 1::2] > PRUNE_TOL).repeat(2, axis=0)
-            whole[d3:] = ~clicked
-            dropped = clicked & ~keep[d3:] & (weight[d3:] > 0.0)
-            pruned = [(dropped[k], codes[d3 + k], weight[d3 + k]) for k in range(4)
-                      if dropped[k].any()]
-        lost_w += np.where(whole, weight, 0.0).sum(axis=0)
+    else:
+        lost_w *= scale[2]
+        if len(picked) < keep.size:
+            # D3 children and whole clicks at or below PRUNE_TOL join the row's
+            # loss; a kept click's D1 or LOST child at or below it is booked as it is
+            whole = ~keep
+            if lossy:
+                clicked = (weight[d3::2] + weight[d3 + 1::2] > PRUNE_TOL).repeat(2, axis=0)
+                whole[d3:] = ~clicked
+                dropped = clicked & ~keep[d3:] & (weight[d3:] > 0.0)
+                pruned = [(dropped[k], codes[d3 + k], weight[d3 + k] * scale[1])
+                          for k in range(4) if dropped[k].any()]
+            lost_w += (np.where(whole, weight, 0.0) * scale[kinds[:-1]]).sum(axis=0)
     # a loss record keeps the row's fates: photons still IN_CIRCUIT count as LOST
     ended = np.count_nonzero(lost_w)
     if ended == rows:
-        lost.append((stack.fates, lost_w, stack.node))
+        lost.append((stack.fates, lost_w))
     elif ended:
         mask = lost_w > 0.0
-        lost.append((stack.fates[mask], lost_w[mask], stack.node[mask]))
+        lost.append((stack.fates[mask], lost_w[mask]))
     for mask, code, w in pruned:
         fates = stack.fates[mask]
         fates[:, photon] = code
-        lost.append((fates, w[mask], stack.node[mask]))
+        lost.append((fates, w[mask]))
 
     flat = kids.reshape(weight.size, -1)
     amps = flat if len(picked) == weight.size else flat[picked]
@@ -404,10 +425,9 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float,
     child_pols[:, photon] = pols[block]
     weight = weight.ravel()[picked]
     if shots is None:
-        return BranchStack(amps, fates, child_pols, stack.node[parent], weight)
+        return BranchStack(amps, fates, child_pols, weight)
     amps /= np.sqrt(weight)[:, None]  # a shot's row stays normalized
-    return (BranchStack(amps, fates, child_pols, stack.node[parent], np.ones(len(picked))),
-            live, owner)
+    return BranchStack(amps, fates, child_pols, np.ones(len(picked))), live, owner
 
 
 @dataclass(frozen=True)
@@ -567,64 +587,45 @@ def _records(keys: np.ndarray, probs: np.ndarray, n: int) -> Records:
     return Records(digits.astype(np.int8), sums[kept])
 
 
-def _evolve(vec: np.ndarray, units, eta0: float, order, book=None, draws=None):
-    """All photons through the pipeline, from one row of `vec` per node of `units`.
+def _evolve(vec: np.ndarray, units, eta0: float, order, book=None, draws=None, weights=None):
+    """All photons through the pipeline, from the one row of `vec`.
 
     Given `draws`, a (shots, n + 1) block of uniforms, the run is sampled:
-    every shot starts in its own node's row, keeps its id (which indexes its
-    uniforms) and the index of its row, and each step draws one child per
-    shot (`_photon_step`). Yields the final rows: one stack when the run fits
-    MAX_STEP_BYTES, in a sampled run as (stack, shot ids, their rows). Rows
-    of different nodes never interact, so a step that would pass the budget
-    runs on half of the stack's nodes while the other half waits its turn;
-    in a sampled run no two rows interact, so the step halves its rows
-    instead, each half with the shots it holds. The halves are carried to
-    the end one after the other. A step that passes the budget on a single
-    node's rows (a sampled run: on a single row) is refused; `check_fits`
-    refuses a run whose first step does so before it starts. Each step's
-    loss records go to `book` right after the step, or are dropped when it
-    is None.
+    every shot starts in that row, keeps its id (which indexes its uniforms
+    and its column of `weights`, the (3, shots) `_units` ratios) and the
+    index of its row, and each step draws one child per shot
+    (`_photon_step`). Else `weights` is the moment table (`_moments`) of the
+    loss records, or None. Yields the final rows: one stack, in a sampled run
+    as (stack, shot ids, their rows). A sampled step that would pass the
+    budget halves its rows, each half with its shots, carried to the end one
+    after the other; any other such step is refused. Each step's loss
+    records go to `book`, if any.
     """
-    nodes = np.arange(units[2].shape[1])
-    shots = None
-    if draws is not None:  # every shot starts in its node's row: one row if one node
-        shot = np.arange(len(draws))
-        shots = (shot, shot % len(nodes))
-    todo = [(nodes, None, 0, shots)]  # (nodes, their rows, photons fed, their shots)
+    shots = None if draws is None else (np.arange(len(draws)), np.zeros(len(draws), np.intp))
+    todo = [(_initial_stack(vec, len(order)), 0, shots)]  # (rows, photons fed, their shots)
     while todo:
-        ids, stack, fed, shots = todo.pop()
-        while fed < len(order) and (stack is None or len(stack)):  # stop once no row is left
-            if stack is None:  # no photon fed yet: the rows are built only now
-                stack = _initial_stack(vec, len(order), ids)
-            held = sum(s.nbytes for _, s, _, _ in todo if s is not None)
+        stack, fed, shots = todo.pop()
+        while fed < len(order) and len(stack):  # stop once no row is left
+            held = sum(s.nbytes for s, _, _ in todo)
             lost: list = []
             try:
                 if shots is None:
-                    stack = _photon_step(stack, order[fed], units, eta0, lost, held)
+                    scale = _ONES if weights is None else _scale(weights, stack.fates)
+                    stack = _photon_step(stack, order[fed], units, eta0, lost, held, scale)
                 else:
                     shot, owner = shots
-                    stack, live, owner = _photon_step(stack, order[fed], units, eta0, lost,
-                                                      held, (draws[shot, fed], owner))
+                    stack, live, owner = _photon_step(stack, order[fed], units, eta0, lost, held,
+                                                      weights[:, shot], (draws[shot, fed], owner))
                     shots = (shot[live], owner)
             except _OverBudget:
-                if len(ids if shots is None else stack) == 1:
+                if shots is None or len(stack) == 1:
                     raise
-                ids, rest = np.array_split(ids, 2)  # a sampled run's rows before photon 1
-                if shots is None:
-                    later, todo_shots = stack.node >= rest[0], None
-                else:  # halve the rows, each half with the shots it holds
-                    half = (len(stack) + 1) // 2
-                    later = np.arange(len(stack)) >= half
-                    shot, owner = shots
-                    mine = owner < half
-                    todo_shots = (shot[~mine], owner[~mine] - half)
-                    shots = (shot[mine], owner[mine])
-                if fed:
-                    todo.append((rest, stack.select(later), fed, todo_shots))
-                    stack = stack.select(~later)
-                else:
-                    todo.append((rest, None, 0, todo_shots))
-                    stack = None
+                half = (len(stack) + 1) // 2  # halve the rows, each half with its shots
+                later = np.arange(len(stack)) >= half
+                shot, owner = shots
+                mine = owner < half
+                todo.append((stack.select(later), fed, (shot[~mine], owner[~mine] - half)))
+                stack, shots = stack.select(~later), (shot[mine], owner[mine])
                 continue
             fed += 1
             if book is not None:
@@ -633,17 +634,9 @@ def _evolve(vec: np.ndarray, units, eta0: float, order, book=None, draws=None):
 
 
 def check_fits(n: int, config: AnalyzerConfig) -> None:
-    """Refuse an n-photon run before it allocates if one node cannot fit MAX_STEP_BYTES.
-
-    Counts one node's first photon step with the fewest children a step
-    makes, so a run refused here would be refused at that step anyway. The
-    initial rows of every node are read-only views of one vector
-    (`_initial_stack`), which that step's parent rows already count.
-    """
-    pulse = (config.spectrum is not None and config.mode == "realistic"
-             and config.enumeration == "exhaustive")
-    _check_step(n, config.quad_nodes if pulse else 1, 1, 4 * 2 ** n,
-                len(_BLOCKS[False, config.eta0 < 1.0][0]))
+    """Refuse an n-photon run before it allocates if its first step cannot fit MAX_STEP_BYTES,
+    counted with the fewest children a step makes, as that step would refuse it anyway."""
+    _check_step(n, 1, 4 * 2 ** n, len(_BLOCKS[False, config.eta0 < 1.0][0]))
 
 
 def _feeding_order(photons: QubitRegister, config: AnalyzerConfig, order) -> list[int]:
@@ -677,76 +670,81 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
     if config.spectrum is not None and config.mode == "realistic":
         raise ValueError("final_branches needs a monochromatic configuration")
     order = _feeding_order(photons, config, order)
-    units = _units(*config.reflection_pairs())
+    units, _ = _units(*config.reflection_pairs())
     vec = _with_spins(photons.amplitudes)
     return [branch for stack in _evolve(vec, units, config.eta0, order)
             for branch in stack.views()]
 
 
-# amplitudes of the rows a pulse Monte-Carlo run carries at once: its shots go in
-# groups of this many amplitudes' worth of rows, so its memory does not grow with
-# the shots; a one-node run shares rows and takes _SHOT_BLOCK // 16 shots a group
+# a pulse Monte-Carlo run draws its shots in groups of this many amplitudes' worth of
+# shots, so its memory does not grow with them; a one-node group takes this // 16 shots
 _SHOT_BLOCK = 2 ** 16
 
 
 def _shot_groups(config: AnalyzerConfig, pulse: bool, n: int, shots: int):
-    """(units, node weights, draws) per group of shots. A pulse group draws each
-    shot's omega (the spectral density is a normal law with std sigma/sqrt2)
-    first, one node per shot. A one-node group draws only uniforms, so its size
-    (that of an n = 2 pulse group, as its shots share rows) keeps the stream."""
+    """(units, ratios, draws) per group of shots. A pulse group draws each shot's
+    omega (the spectral density is a normal law with std sigma/sqrt2) first, and
+    scatters with their envelope (`_units`). A one-node group draws only
+    uniforms, so its size (that of an n = 2 pulse group) keeps the stream."""
     rng = np.random.default_rng(config.seed)
     size = max(1, _SHOT_BLOCK // (4 * 2 ** n)) if pulse else _SHOT_BLOCK // 16
-    units = None if pulse else _units(*config.reflection_pairs())
+    units, ratios = (None, None) if pulse else _units(*config.reflection_pairs())
     for start in range(0, shots, size):
         rows = min(size, shots - start)
         if pulse:
             omegas = rng.normal(config.spectrum.omega_c,
                                 config.spectrum.sigma / np.sqrt(2.0), rows)
-            units = _units(*config.reflection_pairs(omegas))
-        yield units, np.ones(rows), rng.random((rows, n + 1))
+            units, ratios = _units(*config.reflection_pairs(omegas))
+        yield units, np.broadcast_to(ratios, (3, rows)), rng.random((rows, n + 1))
 
 
 def _run(photons: QubitRegister, config: AnalyzerConfig, order, shots: int):
-    """Exact records, weighted by quadrature node, or the frequencies over `shots`
+    """Exact records, weighted by the nodes' moments, or the frequencies over `shots`
     sampled shots (`_shot_groups`), each of which draws one QD pair at the end."""
     n = photons.num_qubits
     vec = _with_spins(photons.amplitudes)
     pulse = config.spectrum is not None and config.mode == "realistic"
+    if pulse and config.qnd2 != config.qnd1:
+        raise ValueError("a pulse-averaged run needs matched detector units, qnd2 == qnd1")
     sampled = config.enumeration == "monte-carlo"
     if sampled:
         groups = _shot_groups(config, pulse, n, shots)
     elif pulse:
         x, w = _hermite_nodes(config.quad_nodes)
-        omegas = config.spectrum.omega_c + config.spectrum.sigma * x
-        groups = [(_units(*config.reflection_pairs(omegas)), w / np.sqrt(np.pi), None)]
-    else:
-        groups = [(_units(*config.reflection_pairs()), np.ones(1), None)]
-    # the records so far, summed per key after every step: a run never holds
-    # its loss rows, only one sum per record
-    keys, probs = np.empty(0, np.int64), np.empty(0)
+        units, ratios = _units(*config.reflection_pairs(
+            config.spectrum.omega_c + config.spectrum.sigma * x))
+        groups = [(units, _moments(ratios, w / np.sqrt(np.pi), n), None)]
+    else:  # one frequency: the records weigh as they are
+        groups = [(_units(*config.reflection_pairs())[0], None, None)]
+    # the records summed so far, then those booked since: summed after each step of
+    # an exhaustive run, to bound its memory, and once per shot group of a sampled one
+    booked = [(np.empty(0, np.int64), np.empty(0))]
 
-    def add(new_keys, new_probs):
-        nonlocal keys, probs
-        keys, probs = _sum_by_key(np.concatenate((keys, new_keys)),
-                                  np.concatenate((probs, new_probs)))
+    def add():
+        booked[:] = [_sum_by_key(*map(np.concatenate, zip(*booked)))]
 
-    for units, node_weight, draws in groups:
+    for units, weights, draws in groups:
         def book(lost):
-            for fates, w, node in lost:
-                add(_pack(fates), w * node_weight[node])
+            booked.extend((_pack(fates), w) for fates, w in lost)
+            if draws is None and lost:
+                add()
 
-        for stack in _evolve(vec, units, config.eta0, order, book, draws):
+        for stack in _evolve(vec, units, config.eta0, order, book, draws, weights):
             if draws is None:
-                weights = _qd_readouts(stack.amps)[1]
-                row, pair = np.nonzero(weights > PRUNE_TOL)
-                add(_pack(stack.fates)[row] + 1 + pair,
-                    weights[row, pair] * node_weight[stack.node[row]])
+                readout = _qd_readouts(stack.amps)[1]
+                row, pair = np.nonzero(readout > PRUNE_TOL)
+                probs = readout[row, pair]
+                if weights is not None:
+                    probs *= _scale(weights, stack.fates)[3, row]
+                booked.append((_pack(stack.fates)[row] + 1 + pair, probs))
             else:  # each shot draws its pair from its row's four weights
                 stack, shot, owner = stack
-                weights = _qd_readouts(stack.amps)[1][owner]
-                add(_pack(stack.fates)[owner] + 1 + _draw(weights.T, draws[shot, n]),
-                    np.ones(len(shot)))
-            del stack, weights  # the next node group runs without them
+                readout = _qd_readouts(stack.amps)[1][owner]
+                booked.append((_pack(stack.fates)[owner] + 1 + _draw(readout.T, draws[shot, n]),
+                               np.ones(len(shot))))
+            del stack, readout  # the next part of a sampled run goes without them
+        add()
+    keys, probs = booked[0]
     return _records(keys, probs / shots if sampled else probs, n)
 
 
@@ -760,7 +758,7 @@ def click_records(stack: BranchStack, lost: list, photons: list[int]):
     """
     clicks = stack.fates[:, photons]
     conclusive = _clicked(clicks)
-    aborted = [(fates[:, photons], w) for fates, w, _ in lost]
+    aborted = [(fates[:, photons], w) for fates, w in lost]
     aborted.append((clicks[~conclusive], stack.weight[~conclusive]))
     records = _records(np.concatenate([_pack(fates) for fates, _ in aborted]),
                        np.concatenate([w for _, w in aborted]), len(photons))

@@ -38,7 +38,7 @@ class NetworkState:
     """Live branches of the hub-plus-remote-spins system and the mass lost so far.
 
     `stack` holds the live branches, one per row, with fates over the m
-    photons (IN_CIRCUIT until fed); `lost` holds the (fates, weights, nodes)
+    photons (IN_CIRCUIT until fed); `lost` holds the (fates, weights)
     arrays of every run that ended in loss or pruning (`circuit._photon_step`);
     `fed` marks the photons sent through the analyzer.
     """
@@ -73,7 +73,7 @@ def make_network(num_pairs: int) -> NetworkState:
     perm = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
     spins_first = np.transpose(t, perm).reshape(-1)
     amps = kron_all(spins_first, KET_PLUS, KET_PLUS)
-    stack = _initial_stack(amps, m, np.zeros(1, np.intp))
+    stack = _initial_stack(amps, m)
     return NetworkState(num_pairs=m, stack=stack, lost=[], fed=(False,) * m)
 
 
@@ -86,7 +86,7 @@ def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> Net
     if config.spectrum is not None:
         raise ValueError("network runs are monochromatic; use a fixed omega")
     lost = list(state.lost)
-    stack = _photon_step(state.stack, photon, _units(*config.reflection_pairs()),
+    stack = _photon_step(state.stack, photon, _units(*config.reflection_pairs())[0],
                          config.eta0, lost)
     fed = tuple(done or i == photon for i, done in enumerate(state.fed))
     return NetworkState(state.num_pairs, stack, lost, fed)

@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -56,29 +57,27 @@ def random_register(n, seed):
     return QubitRegister(n, amps / np.linalg.norm(amps))
 
 
-def stacked_step(photon, refls):
+def stacked_step(photon, refl):
     """`_photon_step` of one photon with amplitudes `photon`, both QDs in |+>.
 
-    One row per entry of `refls`, each scattering with its own node's
-    amplitudes; returns (child rows, loss weight per parent row).
+    The one row scatters off two units with amplitudes `refl`; returns
+    (child rows, loss weight).
     """
-    stack = _initial_stack(kron_chain(np.array(photon, dtype=complex), KET_PLUS, KET_PLUS), 1,
-                           np.arange(len(refls)))
-    units = _units(ReflectionPair(np.array([r.r0 for r in refls]), np.array([r.r1 for r in refls])),
-                   ReflectionPair(np.array([r.r0 for r in refls]), np.array([r.r1 for r in refls])))
+    stack = _initial_stack(kron_chain(np.array(photon, dtype=complex), KET_PLUS, KET_PLUS), 1)
+    units, _ = _units(refl, refl)
     lost: list = []
     children = _photon_step(stack, 0, units, 1.0, lost)
-    lost_w = np.zeros(len(refls))
-    for fates, w, node in lost:
+    lost_w = 0.0
+    for fates, w in lost:
         assert (fates == fates[:1]).all()  # every loss record of one photon is (LOST,)
-        np.add.at(lost_w, node, w)
+        lost_w += w.sum()
     return children, lost_w
 
 
 def one_photon_step(photon, refl):
-    """One-row `stacked_step`: (child branches, lost weight)."""
-    children, lost_w = stacked_step(photon, [refl])
-    return children.views(), float(lost_w[0])
+    """`stacked_step` as (child branches, lost weight)."""
+    children, lost_w = stacked_step(photon, refl)
+    return children.views(), float(lost_w)
 
 
 class TestQndScatter:
@@ -117,20 +116,6 @@ class TestQndScatter:
         children, _ = one_photon_step(KET_V, refl)
         flip = sum(c.weight for c in children if c.fates[0] in CONCLUSIVE_FATES)
         assert flip == pytest.approx(eta1(STANDARD, 1.7), rel=1e-12)
-
-    def test_rows_scatter_with_their_own_node(self):
-        # three nodes in one stack give, row by row, what each gives alone
-        refls = [ReflectionPair.ideal(), ReflectionPair(r0=0.6 + 0.0j, r1=0.6 + 0.0j),
-                 reflection_coeffs(STANDARD, 1.7)]
-        children, lost_w = stacked_step(KET_V, refls)
-        for node, refl in enumerate(refls):
-            alone, lost_alone = one_photon_step(KET_V, refl)
-            rows = np.flatnonzero(children.node == node)
-            assert [children.views()[i].fates for i in rows] == [c.fates for c in alone]
-            np.testing.assert_allclose(children.amps[rows], [c.vec for c in alone], atol=1e-15)
-            np.testing.assert_allclose(children.weight[rows], [c.weight for c in alone],
-                                       rtol=1e-14, atol=1e-15)
-            assert lost_w[node] == pytest.approx(lost_alone, abs=1e-15)
 
 
 class TestIdealRuns:
@@ -369,54 +354,40 @@ class TestTotalLoss:
 class TestMemoryBudget:
     def test_initial_array_over_budget(self, monkeypatch):
         monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 2 ** 3 * 4 * 16 - 1)
-        with pytest.raises(ValueError, match="3 photons with 1 quadrature node"):
+        with pytest.raises(ValueError, match="3 photons need"):
             run_analyzer(ghz_state(3, (0, 0, 0)), IDEAL)
 
     def test_step_over_budget_mid_run(self, monkeypatch):
         # the initial 512-byte row fits; the first photon's step does not
         monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 2 ** 3 * 4 * 16)
         config = AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.0)
-        with pytest.raises(ValueError, match=r"3 photons with 1 quadrature node\(s\) need "
-                                             r"\d+ bytes for a photon step on 1 rows.*item 3"):
+        with pytest.raises(ValueError, match=r"3 photons need \d+ bytes for a photon step "
+                                             r"on 1 rows.*item 3") as mono:
             run_analyzer(ghz_state(3, (0, 0, 0)), config)
-        # a pulse run splits its nodes down to one before it is refused
+        # a pulse run is one run with envelope units: refused at the same budget
         pulse = AnalyzerConfig(mode="realistic", qnd1=STANDARD, quad_nodes=4,
                                spectrum=PulseSpectrum(omega_c=0.0, sigma=0.3))
-        monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 4 * 2 ** 3 * 4 * 16)
-        with pytest.raises(ValueError, match=r"3 photons with 4 quadrature node\(s\) need "
-                                             r"\d+ bytes for a photon step on 1 rows"):
+        with pytest.raises(ValueError) as refused:
             run_analyzer(ghz_state(3, (0, 0, 0)), pulse)
+        assert str(refused.value) == str(mono.value)
 
-    def test_pulse_run_over_budget_runs_fewer_nodes_at_a_time(self, monkeypatch):
-        # rows of different nodes never interact: a pulse run three to seven
-        # times over the budget gives the same records, and its traced
-        # allocations, records included, stay within the budget
+    def test_pulse_run_memory_does_not_grow_with_nodes(self):
+        # the nodes only weigh records (`circuit._moments`): 16 to 256 of them
+        # run on the same rows
         photons = ghz_state(6, (0,) * 6)
-        pulse = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, eta0=0.9, quad_nodes=16,
-                               spectrum=PulseSpectrum(omega_c=0.0, sigma=0.6))
 
-        def traced_run():
+        def peak(nodes):
+            pulse = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, eta0=0.9,
+                                   quad_nodes=nodes, spectrum=PulseSpectrum(0.0, 0.6))
             tracemalloc.start()
             try:
-                return run_analyzer(photons, pulse), tracemalloc.get_traced_memory()[1]
+                run_analyzer(photons, pulse)
+                return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        reference, unlimited = traced_run()
-        for share in (3, 5, 7):
-            monkeypatch.setattr(circuit, "MAX_STEP_BYTES", unlimited // share)
-            got, peak = traced_run()
-            assert peak <= circuit.MAX_STEP_BYTES
-            assert [(r.fates, r.qd_readout) for r in got] == \
-                [(r.fates, r.qd_readout) for r in reference]
-            np.testing.assert_allclose([r.probability for r in got],
-                                       [r.probability for r in reference], rtol=0, atol=1e-15)
-        x, _ = _hermite_nodes(16)
-        units = _units(*pulse.reflection_pairs(0.6 * x))
-        vec = kron_chain(photons.amplitudes, KET_PLUS, KET_PLUS)
-        stacks = list(circuit._evolve(vec, units, 0.9, range(6)))
-        assert len(stacks) > 2
-        assert sorted(np.concatenate([np.unique(s.node) for s in stacks])) == list(range(16))
+        peaks = [peak(nodes) for nodes in (16, 64, 256)]
+        assert max(peaks) - min(peaks) <= 2 ** 20
 
     @pytest.mark.parametrize("config, n", [
         (AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, eta0=0.9), 7),
@@ -424,13 +395,15 @@ class TestMemoryBudget:
     ])
     def test_step_bytes_bound_what_a_step_allocates(self, config, n):
         if config.spectrum is None:
-            units = _units(*config.reflection_pairs())
-        else:
-            x, _ = _hermite_nodes(config.quad_nodes)
-            units = _units(*config.reflection_pairs(0.6 * x))
+            units, ratios = _units(*config.reflection_pairs())
+            weights = np.ones(1)
+        else:  # the envelope units of a pulse run, and its nodes' moments
+            x, weights = _hermite_nodes(config.quad_nodes)
+            units, ratios = _units(*config.reflection_pairs(0.6 * x))
+        moments = circuit._moments(ratios, weights / weights.sum(), n)
         blocks = 6 if config.eta0 < 1.0 else 4
         stack = _initial_stack(kron_chain(ghz_state(n, (0,) * n).amplitudes, KET_PLUS, KET_PLUS),
-                               n, np.arange(units[2].shape[1]))
+                               n)
         lost: list = []
         tracemalloc.start()
         try:
@@ -438,7 +411,8 @@ class TestMemoryBudget:
                 counted = circuit._step_bytes(len(stack), stack.amps.shape[1], blocks, n)
                 before = tracemalloc.get_traced_memory()[0] - stack.amps.nbytes
                 tracemalloc.reset_peak()
-                stack = _photon_step(stack, photon, units, config.eta0, lost)
+                stack = _photon_step(stack, photon, units, config.eta0, lost,
+                                     scale=circuit._scale(moments, stack.fates))
                 peak = tracemalloc.get_traced_memory()[1] - before
                 assert peak <= counted
                 if peak > 2 ** 20:  # past the fixed overheads the count is close
@@ -611,29 +585,33 @@ class TestMonteCarlo:
         "no-clicks": AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=-0.8, eta0=0.0,
                                     enumeration="monte-carlo", seed=6),
     }
+    PULSE = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, eta0=0.9,
+                           enumeration="monte-carlo", seed=6,
+                           spectrum=PulseSpectrum(omega_c=0.0, sigma=1.5))
 
     @staticmethod
     def one_row_per_shot(monkeypatch):
-        """Give every shot of a one-node group a node of its own, so no row is shared."""
-        groups = circuit._shot_groups
+        """Copy every shot's row before each photon step, so no row is shared."""
+        step = circuit._photon_step
 
-        def per_shot(config, pulse, n, shots):
-            for units, node_weight, draws in groups(config, pulse, n, shots):
-                yield ([None if u is None else np.repeat(u, len(draws), axis=1) for u in units],
-                       node_weight, draws)
+        def per_shot(stack, photon, units, eta0, lost, held, scale, shots):
+            u, owner = shots
+            return step(stack.select(owner), photon, units, eta0, lost, held, scale,
+                        (u, np.arange(len(u))))
 
-        monkeypatch.setattr(circuit, "_shot_groups", per_shot)
+        monkeypatch.setattr(circuit, "_photon_step", per_shot)
 
-    @pytest.mark.parametrize("kind", ONE_NODE)
+    @pytest.mark.parametrize("kind", [*ONE_NODE, "pulse"])
     @pytest.mark.parametrize("n", range(2, 7))
     @pytest.mark.parametrize("shots", [4095, 4096, 4097])
     def test_shared_rows_give_the_records_of_one_row_per_shot(self, kind, n, shots, monkeypatch):
         # shots with the same history hold bit-identical rows, so sharing them
         # changes no weight, no draw and no count
         photons = ghz_state(n, tuple(np.random.default_rng(n).integers(0, 2, n).tolist()))
-        shared = run_analyzer(photons, self.ONE_NODE[kind], shots=shots)
+        config = self.ONE_NODE.get(kind, self.PULSE)
+        shared = run_analyzer(photons, config, shots=shots)
         self.one_row_per_shot(monkeypatch)
-        alone = run_analyzer(photons, self.ONE_NODE[kind], shots=shots)
+        alone = run_analyzer(photons, config, shots=shots)
         assert np.array_equal(shared.digits, alone.digits)
         assert np.array_equal(shared.probs, alone.probs)
 
@@ -847,3 +825,72 @@ class TestCheckFits:
         assert [(r.fates, r.qd_readout) for r in got] == \
             [(r.fates, r.qd_readout) for r in reference]
         np.testing.assert_allclose(got.probs, reference.probs, rtol=0, atol=1e-15)
+
+
+def node_by_node(photons, config):
+    """Pulse records as the sum over the Gauss-Hermite nodes of w_k / sqrt(pi) times
+    the monochromatic records at each node's frequency: the one-node engine alone.
+    Returns (record digits, probabilities), sorted as `run_analyzer` sorts them."""
+    x, w = _hermite_nodes(config.quad_nodes)
+    omegas = config.spectrum.omega_c + config.spectrum.sigma * x
+    runs = [run_analyzer(photons, replace(config, spectrum=None, omega=omega))
+            for omega in omegas.tolist()]
+    digits = np.concatenate([r.digits for r in runs])
+    probs = np.concatenate([weight * r.probs for weight, r in zip(w / np.sqrt(np.pi), runs)])
+    _, first, index = np.unique(digits @ 5 ** np.arange(digits.shape[1] - 1, -1, -1),
+                                return_index=True, return_inverse=True)
+    return digits[first], np.bincount(index, weights=probs)
+
+
+class TestPulseMoments:
+    """A pulse run is one run with envelope units, its records weighed by node moments."""
+
+    @pytest.mark.parametrize("n, eta0, sigma",
+                             [(n, eta0, sigma) for n in range(2, 8) for eta0 in (1.0, 0.9)
+                              for sigma in (0.6, 1.5)] + [(8, 1.0, 0.6)])
+    def test_records_equal_the_node_by_node_sum(self, n, eta0, sigma):
+        photons = ghz_state(n, tuple(np.random.default_rng(n).integers(0, 2, n).tolist()))
+        config = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, eta0=eta0, quad_nodes=8,
+                                spectrum=PulseSpectrum(omega_c=0.0, sigma=sigma))
+        got = run_analyzer(photons, config)
+        digits, probs = node_by_node(photons, config)
+        assert np.array_equal(got.digits, digits)  # the same records, in the same order
+        assert np.abs(got.probs - probs).max() <= 1e-12
+        assert math.fsum(got.probs.tolist()) == pytest.approx(1.0, abs=1e-13)
+
+    @pytest.mark.parametrize("eta0", [1.0, 0.9])
+    def test_pruned_mass_keeps_the_sum(self, eta0, monkeypatch):
+        # with PRUNE_TOL raised, pruned D3 children and clicks carry much of the
+        # mass; each is weighed by its own moment, so the records still sum to 1
+        monkeypatch.setattr(circuit, "PRUNE_TOL", 1e-3)
+        config = AnalyzerConfig(mode="realistic", qnd1=STANDARD, eta0=eta0,
+                                spectrum=PulseSpectrum(omega_c=0.0, sigma=30.0))
+        records = run_analyzer(ghz_state(5, (0, 1, 1, 0, 1)), config)
+        assert math.fsum(records.probs.tolist()) == pytest.approx(1.0, abs=1e-13)
+
+    def test_monte_carlo_shots_weigh_draws_at_their_own_frequency(self):
+        # sigma = 30 ueV spans the cavity line, so each shot's flip, error and
+        # loss probabilities lie far below its group's envelope
+        shots = 20_000
+        exhaustive = AnalyzerConfig(mode="realistic", qnd1=STANDARD, eta0=0.9,
+                                    spectrum=PulseSpectrum(omega_c=0.0, sigma=30.0))
+        sampling = replace(exhaustive, enumeration="monte-carlo", seed=12)
+        photons = ghz_state(3, (0, 1, 1))
+        exact = {(r.fates, r.qd_readout): r.probability
+                 for r in run_analyzer(photons, exhaustive)}
+        sampled = {(r.fates, r.qd_readout): r.probability
+                   for r in run_analyzer(photons, sampling, shots=shots)}
+        for key in sampled:
+            assert exact.get(key, 0.0) > 0.0, key
+        for key, p in exact.items():
+            if p > 1e-3:
+                assert abs(sampled.get(key, 0.0) - p) <= 4.0 * np.sqrt(p * (1 - p) / shots), key
+
+    @pytest.mark.parametrize("enumeration", ["exhaustive", "monte-carlo"])
+    def test_mismatched_units_are_refused(self, enumeration):
+        # the envelope run needs one flip and one error amplitude per frequency
+        config = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, qnd2=STANDARD,
+                                spectrum=PulseSpectrum(omega_c=0.0, sigma=0.6),
+                                enumeration=enumeration)
+        with pytest.raises(ValueError, match="qnd2 == qnd1"):
+            run_analyzer(ghz_state(2, (0, 1)), config, shots=100)

@@ -284,8 +284,8 @@ class TestAnalyzeCommand:
         assert "2..256" in capsys.readouterr().err
 
     def test_branch_array_over_budget_exits_2_before_running(self, tmp_path, capsys):
-        # the 256 nodes' initial rows are views of one 2^24-amplitude vector, so
-        # the run is judged by one node's first photon step, which passes 1 GiB
+        # a pulse run is one run with envelope units, whatever its node count,
+        # so it is judged by its first photon step, which passes 1 GiB
         need = circuit._step_bytes(1, 4 * 2 ** 22, 2, 22)
         start = time.perf_counter()
         code, text = run_cli(["analyze", "GHZ:" + "0" * 22, "--mode", "realistic",
@@ -294,7 +294,7 @@ class TestAnalyzeCommand:
         assert code == 2
         assert text == ""
         err = capsys.readouterr().err
-        assert (f"22 photons with 256 quadrature node(s) need {need} bytes for a photon "
+        assert (f"22 photons need {need} bytes for a photon "
                 f"step on 1 rows of {4 * 2 ** 22} amplitudes") in err
         assert "ROADMAP.md item 3" in err
 
@@ -304,13 +304,13 @@ class TestAnalyzeCommand:
         assert code == 2
         assert text == ""
         err = capsys.readouterr().err
-        assert "40 photons with 1 quadrature node(s)" in err
+        assert "40 photons need" in err
         assert f"over the {2 ** 30}-byte budget" in err
 
     @pytest.mark.parametrize("enumeration", ["exhaustive", "monte-carlo"])
     def test_first_step_over_budget_exits_2_before_the_register(self, enumeration, tmp_path,
                                                                  capsys):
-        # the 2^23 register fits, one node's first photon step does not
+        # the 2^23 register fits, its first photon step does not
         tracemalloc.start()
         try:
             code, text = run_cli(["analyze", "GHZ:" + "0" * 23, "--enumeration", enumeration],
@@ -322,7 +322,7 @@ class TestAnalyzeCommand:
         assert text == ""
         assert peak < 64 * 2 ** 20
         err = capsys.readouterr().err
-        assert "23 photons with 1 quadrature node(s) need" in err
+        assert "23 photons need" in err
         assert "bytes for a photon step on 1 rows" in err
 
     def test_singular_point_exits_2(self, tmp_path, capsys):

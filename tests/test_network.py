@@ -76,7 +76,7 @@ class TestFeedPhoton:
                  if br.fates[0] is PhotonFate.D3)
         assert d3 == pytest.approx(error_prob(STANDARD, 0.9), abs=1e-12)
         total = (sum(br.weight for br in state.branches)
-                 + sum(w.sum() for _, w, _ in state.lost))
+                 + sum(w.sum() for _, w in state.lost))
         assert total == pytest.approx(1.0, abs=1e-10)
 
     def test_no_signaling_on_unfed_spins(self):
