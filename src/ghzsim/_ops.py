@@ -16,9 +16,3 @@ KET_MINUS = np.array([SQRT_HALF, -SQRT_HALF], dtype=complex)
 def norm2(state: np.ndarray) -> float:
     return float(np.real(np.vdot(state, state)))
 
-
-def kron_all(*vectors: np.ndarray) -> np.ndarray:
-    out = np.array([1.0], dtype=complex)
-    for v in vectors:
-        out = np.kron(out, v)
-    return out

@@ -47,7 +47,7 @@ import numpy as np
 
 from ._ops import KET_MINUS, KET_PLUS, SQRT_HALF, norm2
 from .scattering import (MAX_QUAD_NODES, CavityQDParams, PulseSpectrum,
-                         ReflectionPair, _hermite_nodes, reflection_coeffs)
+                         ReflectionPair, _hermite_nodes, _require_finite, reflection_coeffs)
 from .states import GhzLabel, QubitRegister
 
 PRUNE_TOL = 1e-15
@@ -112,8 +112,10 @@ class AnalyzerConfig:
             raise ValueError("realistic mode requires qnd1 parameters")
         if self.qnd2 is None and self.qnd1 is not None:
             object.__setattr__(self, "qnd2", self.qnd1)
-        if self.omega is not None and self.spectrum is not None:
-            raise ValueError("give either a fixed omega or a spectrum, not both")
+        if self.omega is not None:
+            _require_finite("omega", self.omega)
+            if self.spectrum is not None:
+                raise ValueError("give either a fixed omega or a spectrum, not both")
         if not 0.0 <= self.eta0 <= 1.0:
             raise ValueError("eta0 must lie in [0, 1]")
         if not 2 <= self.quad_nodes <= MAX_QUAD_NODES:
@@ -506,11 +508,6 @@ class Records(Sequence):
         return cls(np.array(rows, np.int8).reshape(len(rows), -1 if rows else 1),
                    np.array([r.probability for r in records], dtype=float))
 
-    @classmethod
-    def read_out(cls, fates: np.ndarray, pairs: np.ndarray, probs: np.ndarray) -> Records:
-        """Records of rows of fate codes (`click_records`) read out as QD_PAIRS[pairs]."""
-        return cls(np.column_stack((fates, pairs + 1)).astype(np.int8), probs)
-
     def __len__(self) -> int:
         return len(self.probs)
 
@@ -746,24 +743,6 @@ def _run(photons: QubitRegister, config: AnalyzerConfig, order, shots: int):
         add()
     keys, probs = booked[0]
     return _records(keys, probs / shots if sampled else probs, n)
-
-
-def click_records(stack: BranchStack, lost: list, photons: list[int]):
-    """Split a run's branches by the clicks of the given photons, before the QD readout.
-
-    Returns (aborted, heralded, clicks): the records, summed per click record
-    over `photons` and with no QD readout, of every branch that ended in loss
-    or where one of them did not click D1 or D2; the indices of the live rows
-    where each of them clicked D1 or D2; and those rows' fate codes of them.
-    """
-    clicks = stack.fates[:, photons]
-    conclusive = _clicked(clicks)
-    aborted = [(fates[:, photons], w) for fates, w in lost]
-    aborted.append((clicks[~conclusive], stack.weight[~conclusive]))
-    records = _records(np.concatenate([_pack(fates) for fates, _ in aborted]),
-                       np.concatenate([w for _, w in aborted]), len(photons))
-    heralded = np.flatnonzero(conclusive)
-    return records, heralded, clicks[heralded]
 
 
 def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,

@@ -20,17 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._ops import KET_PLUS, SQRT_HALF, kron_all
-from .circuit import (PRUNE_TOL, AnalyzerConfig, BranchStack, HybridState, Records,
-                      _initial_stack, _photon_step, _qd_readouts, _units, click_records)
+from ._ops import SQRT_HALF
+from .circuit import (PRUNE_TOL, AnalyzerConfig, BranchStack, HybridState, _clicked,
+                      _initial_stack, _pack, _photon_step, _qd_readouts, _records, _units,
+                      _with_spins)
 from .states import GhzLabel, QubitRegister
-
-
-def hybrid_pair_state() -> np.ndarray:
-    """Joint (spin, photon) vector (|up,H> + |down,V>)/sqrt(2)."""
-    v = np.zeros(4, dtype=complex)
-    v[0b00] = v[0b11] = SQRT_HALF
-    return v
 
 
 @dataclass(eq=False)
@@ -68,12 +62,10 @@ def make_network(num_pairs: int) -> NetworkState:
     if num_pairs not in (2, 3):
         raise ValueError("num_pairs must be 2 or 3")
     m = num_pairs
-    interleaved = kron_all(*([hybrid_pair_state()] * m))  # axes s1,p1,s2,p2,...
-    t = interleaved.reshape([2] * (2 * m))
-    perm = [2 * i for i in range(m)] + [2 * i + 1 for i in range(m)]
-    spins_first = np.transpose(t, perm).reshape(-1)
-    amps = kron_all(spins_first, KET_PLUS, KET_PLUS)
-    stack = _initial_stack(amps, m)
+    # spins first, then photons: each remote spin equals its photon
+    pairs = np.zeros(4 ** m, dtype=complex)
+    pairs[::2 ** m + 1] = SQRT_HALF ** m
+    stack = _initial_stack(_with_spins(pairs), m)
     return NetworkState(num_pairs=m, stack=stack, lost=[], fed=(False,) * m)
 
 
@@ -85,6 +77,8 @@ def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> Net
         raise ValueError(f"photon {photon} was already fed")
     if config.spectrum is not None:
         raise ValueError("network runs are monochromatic; use a fixed omega")
+    if config.enumeration != "exhaustive":
+        raise ValueError("network runs enumerate every branch; use exhaustive enumeration")
     lost = list(state.lost)
     stack = _photon_step(state.stack, photon, _units(*config.reflection_pairs())[0],
                          config.eta0, lost)
@@ -110,19 +104,24 @@ class SwapOutcome:
 
 
 def _swap_outcomes(state: NetworkState) -> list[SwapOutcome]:
+    """Every lost, inconclusive and heralded run as the analyzer's records, in their order."""
     m = state.num_pairs
     if not all(state.fed):
         raise ValueError(f"swap needs all {m} photons fed, got {sum(state.fed)}")
-    aborted, heralded, clicks = click_records(state.stack, state.lost, list(range(m)))
-    outcomes = [SwapOutcome(r.fates, None, r.probability, None, None) for r in aborted]
-    comps, weights = _qd_readouts(state.stack.amps[heralded])
+    stack = state.stack
+    clicked = _clicked(stack.fates)
+    comps, weights = _qd_readouts(stack.amps[clicked])
     row, pair = np.nonzero(weights > PRUNE_TOL)  # comps: the remote spins
-    found = Records.read_out(clicks[row], pair, weights[row, pair])
-    for r, i, j, label in zip(found, row.tolist(), pair.tolist(), found.labels()):
-        remote = QubitRegister(m, comps[i, :, j] / np.sqrt(r.probability))
-        outcomes.append(SwapOutcome(r.fates, r.qd_readout, r.probability, remote, label))
-    return sorted(outcomes, key=lambda o: (tuple(c.value for c in o.clicks),
-                                           o.qd_readout or ()))
+    # the heralded keys are distinct, so their argsort is the records' order of them
+    heralded = _pack(stack.fates[clicked])[row] + 1 + pair
+    aborted = [*state.lost, (stack.fates[~clicked], stack.weight[~clicked])]
+    records = _records(np.concatenate([*(_pack(fates) for fates, _ in aborted), heralded]),
+                       np.concatenate([*(w for _, w in aborted), weights[row, pair]]), m)
+    remotes = iter(comps[row, :, pair][np.argsort(heralded)])
+    return [SwapOutcome(r.fates, r.qd_readout, r.probability,
+                        None if r.qd_readout is None
+                        else QubitRegister(m, next(remotes) / np.sqrt(r.probability)), label)
+            for r, label in zip(records, records.labels())]
 
 
 def bell_swap(state: NetworkState) -> list[SwapOutcome]:

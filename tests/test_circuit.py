@@ -744,6 +744,11 @@ class TestValidation:
             AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.0,
                            spectrum=PulseSpectrum(omega_c=0.0, sigma=0.3))
 
+    @pytest.mark.parametrize("mode", ["ideal", "realistic"])
+    def test_non_finite_omega_rejected(self, mode):
+        with pytest.raises(ValueError, match="omega must be finite"):
+            AnalyzerConfig(mode=mode, qnd1=STANDARD, omega=float("nan"))
+
     def test_classification_distribution_pools_inconclusive(self):
         config = AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.0)
         records = run_analyzer(ghz_state(2, (0, 0)), config)

@@ -333,6 +333,13 @@ class TestAnalyzeCommand:
         assert text == ""
         assert "r1 is 0/0 at omega = omega_x = 0.0 ueV" in capsys.readouterr().err
 
+    def test_non_finite_omega_exits_2(self, tmp_path, capsys):
+        # ideal mode never evaluates omega, but still echoes it as metadata
+        code, text = run_cli(["analyze", "GHZ:01", "--omega", "nan"], tmp_path, "a.json")
+        assert code == 2
+        assert text == ""
+        assert "omega must be finite, got nan" in capsys.readouterr().err
+
     def test_monte_carlo_runs(self, tmp_path):
         code, text = run_cli(["analyze", "BELL:psi-", "--enumeration", "monte-carlo",
                               "--seed", "11", "--shots", "2000"], tmp_path, "a.json")
@@ -531,6 +538,20 @@ class TestSwapCommand:
                       if o["predicted"] != "inconclusive")
         assert success == pytest.approx(eta1(params, 0.0) ** 3, abs=1e-12)
 
+    def test_non_finite_omega_exits_2(self, tmp_path, capsys):
+        code, text = run_cli(["swap", "--pairs", "2", "--omega", "inf"], tmp_path, "s.json")
+        assert code == 2
+        assert text == ""
+        assert "omega must be finite, got inf" in capsys.readouterr().err
+
+    def test_sampled_enumeration_from_config_exits_2(self, tmp_path, capsys):
+        # swap has no sampler: a config's monte-carlo enumeration is refused, not echoed
+        cfg = tmp_path / "mc.cfg"
+        cfg.write_text("[analyzer]\nenumeration = monte-carlo\nseed = 5\n")
+        code, text = run_cli(["swap", "--pairs", "2", "--config", str(cfg)], tmp_path, "s.json")
+        assert code == 2
+        assert text == ""
+        assert "exhaustive enumeration" in capsys.readouterr().err
 
     def test_fig5_profile_ignores_pulse(self, tmp_path):
         # the profile's [pulse] sigma is for analyze/table1; swap stays on resonance

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ghzsim.circuit import AnalyzerConfig, PhotonFate, run_analyzer
-from ghzsim.network import (bell_swap, feed_photon, ghz_swap,
-                            hybrid_pair_state, make_network)
+from ghzsim.network import bell_swap, feed_photon, ghz_swap, make_network
 from ghzsim.scattering import CavityQDParams, PulseSpectrum, error_prob, eta1
 from ghzsim.states import GhzLabel, bell_name, fidelity, ghz_state
 from oracles import (BELL_VECTORS, SQ2, basis_state, expected_phi0, expected_phi1,
@@ -18,8 +17,11 @@ FIG5 = CavityQDParams.resonant(g=30.0, kappa=270.0, kappa_s=30.0, gamma=0.3)
 
 class TestMakeNetwork:
     def test_pair_state(self):
-        expected = np.array([SQ2, 0, 0, SQ2], dtype=complex)
-        np.testing.assert_allclose(hybrid_pair_state(), expected, atol=1e-15)
+        # (|up,H> + |down,V>)/sqrt2 per pair, spins first, then both QDs in |+>
+        pair = np.array([[SQ2, 0.0], [0.0, SQ2]])  # (spin, photon)
+        plus = np.array([SQ2, SQ2])
+        expected = np.einsum("ab,cd,e,f->acbdef", pair, pair, plus, plus).reshape(-1)
+        np.testing.assert_array_equal(make_network(2).assembled(), expected)
 
     def test_matches_ghz_sum_decomposition(self):
         state = make_network(3)
@@ -67,6 +69,11 @@ class TestFeedPhoton:
         config = AnalyzerConfig(mode="realistic", qnd1=STANDARD,
                                 spectrum=PulseSpectrum(omega_c=0.0, sigma=0.3))
         with pytest.raises(ValueError):
+            feed_photon(make_network(2), 0, config)
+
+    def test_sampled_enumeration_rejected(self):
+        config = AnalyzerConfig(enumeration="monte-carlo", seed=5)
+        with pytest.raises(ValueError, match="exhaustive enumeration"):
             feed_photon(make_network(2), 0, config)
 
     def test_realistic_d3_probability_per_photon(self):
@@ -229,6 +236,12 @@ class TestSwapMatchesAnalyzer:
         for photon in range(pairs):
             state = feed_photon(state, photon, config)
         outcomes = bell_swap(state) if pairs == 2 else ghz_swap(state)
+        keys = [(tuple(c.value for c in o.clicks), o.qd_readout or ()) for o in outcomes]
+        assert all(a < b for a, b in zip(keys, keys[1:]))
+        assert all(o.probability > 0.0 for o in outcomes)
+        for o in outcomes:
+            if o.remote_state is not None:
+                assert np.linalg.norm(o.remote_state.amplitudes) == pytest.approx(1.0, abs=1e-12)
         swap = {}
         for o in outcomes:
             key = (o.clicks, o.qd_readout)
