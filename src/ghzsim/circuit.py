@@ -32,6 +32,12 @@ its D3 children and its loss probability. So a pulse-averaged run is one run
 with their envelope (`_units`), whose records weigh by moments of the nodes'
 ratios to it (`_moments`); a Monte-Carlo shot weighs its draws by its own.
 
+Detector efficiency: a failed click of D1 or D2 leaves the photon LOST with
+the vector the click would have left, so it changes no row. The branch
+engine runs with clicks that always succeed, and the efficiency eta0 thins
+the summed records once (`_thin`); a Monte-Carlo shot fails its drawn click
+by where its uniform fell.
+
 Memory: a run holds at most MAX_STEP_BYTES at once; a Monte-Carlo run carries
 its rows in halves, each with the shots that point to it, where a step would
 pass it. Records are summed per key, not kept per row.
@@ -303,45 +309,49 @@ def _pack(fates: np.ndarray) -> np.ndarray:
 # sign of a +/- flip of QD1 (row 0) or QD2 (row 1) on the trailing (QD1, QD2) axis of 4
 _QD_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0], [1.0, -1.0, 1.0, -1.0]])[:, None, None, None]
 
-# fate and polarization of each block of children, by (error amplitude present,
-# detector loss present); without an error amplitude (ideal units) no D3 child exists
-_BLOCKS = {(errors, lossy): (np.array(([_D3, _D3] if errors else [])
-                                      + ([_D1, _LOST, _D2, _LOST] if lossy else [_D1, _D2]),
-                                      np.int8),
-                             np.array(([1, 0] if errors else [])
-                                      + ([0, 0, 1, 1] if lossy else [0, 1]), np.int8))
-           for errors in (False, True) for lossy in (False, True)}
+# fate and polarization of each block of children, by whether an error amplitude is
+# present; without one (ideal units) no D3 child exists
+_BLOCKS = {errors: (np.array(([_D3, _D3] if errors else []) + [_D1, _D2], np.int8),
+                    np.array(([1, 0] if errors else []) + [0, 1], np.int8))
+           for errors in (False, True)}
 # row of `scale` (`_photon_step`) that weighs each block of children, then scattering loss
 _KINDS = {key: np.append(codes != _D3, 2) for key, (codes, _) in _BLOCKS.items()}
 
 
-def _draw(weights: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF choice per column of `weights` at uniforms `u`; a zero weight is never drawn."""
+def _draw(weights: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Inverse-CDF choice per column of `weights` at uniforms `u`, and where in [0, 1) of
+    the chosen weight the uniform fell; a zero weight is never drawn."""
     cum = np.cumsum(weights, axis=0)
-    return np.count_nonzero(cum <= u * cum[-1], axis=0)
+    x = u * cum[-1]
+    pick = np.count_nonzero(cum <= x, axis=0)
+    cols = np.arange(len(pick))
+    start = np.where(pick > 0, cum[pick - 1, cols], 0.0)
+    return pick, (x - start) / weights[pick, cols]
 
 
-def _photon_step(stack: BranchStack, photon: int, units, eta0: float, lost: list,
-                 held: int = 0, scale: np.ndarray = _ONES, shots: tuple | None = None):
+def _photon_step(stack: BranchStack, photon: int, units, lost: list, held: int = 0,
+                 scale: np.ndarray = _ONES, shots: tuple | None = None):
     """One full analyzer pass of one photon in every row; returns the child rows.
 
     `units` holds the scattering factors of both detector units (`_units`).
     The photon leaves every child's vector. Children come in blocks: D3 via
-    QND1, D3 via QND2, D1[, LOST on a failed click], D2[, LOST]. A row's
-    scattering loss, its D3 children and whole clicks at or below PRUNE_TOL
-    go to the row's loss record; a kept click's D1 or LOST child at or below
-    PRUNE_TOL gets a record of its own. `scale` rows 0, 1 and 2 weigh D3
-    children, click children and scattering loss (`_scale`) in the (fates,
-    weights) records appended to `lost`. The run ends there, so photons still
-    IN_CIRCUIT in a loss record count as LOST (`_pack`).
-    Given `shots`, a pair (uniforms, owner) of one uniform per shot and the
-    index of the shot's row, each shot instead draws one child of its row or
-    its scattering loss, weighed by its column of `scale` (`_draw`), and
-    nothing is pruned; a row's children and weights are computed once,
-    whatever the number of shots it holds. The child rows are the distinct
-    (block, row) pairs drawn, renormalized. A drawn loss books a record of
-    weight 1 per shot. Returns (children, live, owner): the shots still
-    running, as indices into the given ones, and the child row of each.
+    QND1, D3 via QND2, D1, D2. The destructive detectors click with certainty
+    here; their efficiency thins the summed records (`_thin`). A row's
+    scattering loss and its children at or below PRUNE_TOL go to the row's
+    loss record. `scale` rows 0, 1 and 2 weigh D3 children, click children
+    and scattering loss (`_scale`) in the (fates, weights) records appended to
+    `lost`. The run ends there, so photons still IN_CIRCUIT in a loss record
+    count as LOST (`_pack`).
+    Given `shots`, a triple (uniforms, owner, eta0) of one uniform per shot,
+    the index of the shot's row and the detector efficiency, each shot instead
+    draws one child of its row or its scattering loss, weighed by its column
+    of `scale` (`_draw`), and nothing is pruned; a drawn click fails, leaving
+    the photon LOST, where the uniform falls past eta0 of the click's weight.
+    A row's children and weights are computed once, whatever the number of
+    shots it holds. The child rows are the distinct (block, row, failed)
+    triples drawn, renormalized. A drawn loss books a record of weight 1 per
+    shot. Returns (children, live, owner): the shots still running, as
+    indices into the given ones, and the child row of each.
     A step whose working set (`_step_bytes`) plus the `held` bytes the caller
     keeps besides the stack would pass MAX_STEP_BYTES raises `_OverBudget`
     before it allocates or books anything.
@@ -354,10 +364,8 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float, lost: list
     t = stack.amps.reshape(rows, -1, 2, right, 4)  # (row, left, photon, right, QD pair)
     f, e, loss = units
     errors = e is not None
-    lossy = eta0 < 1.0
-    codes, pols = _BLOCKS[errors, lossy]
-    kinds = _KINDS[errors, lossy]
-    d3 = 2 if errors else 0  # number of D3 blocks
+    codes, pols = _BLOCKS[errors]
+    kinds = _KINDS[errors]
     _check_step(len(fates0), rows, t[0].size, len(codes), held)
     kids = np.empty((len(codes), rows) + t.shape[1:2] + t.shape[3:], dtype=complex)
     # half-wave plate, then the PBS sends V to QND1 and H to QND2 (arms times sqrt2)
@@ -371,41 +379,35 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float, lost: list
     flipped = np.multiply(f, arms, out=arms)
     flipped *= _QD_SIGNS
     # recombination, second half-wave plate, final PBS: D1 = H, D2 = V
-    clicks = kids[d3::2] if lossy else kids[d3:]
+    clicks = kids[len(codes) - 2:]
     np.add(flipped[0], flipped[1], out=clicks[0])
     np.subtract(flipped[0], flipped[1], out=clicks[1])
     del flipped
-    if lossy:  # a failed click leaves the photon LOST
-        np.multiply(clicks, math.sqrt(1.0 - eta0), out=kids[d3 + 1::2])
-        clicks *= math.sqrt(eta0)
     weight = _mass(kids, 2)  # (block, row)
     keep = weight > PRUNE_TOL
     picked = np.flatnonzero(keep)
-    pruned = []
+    failed = None
     if shots is not None:  # each shot keeps one child; drawing its scattering loss ends it
-        u, owner = shots
-        pick = _draw(np.vstack((weight, lost_w))[:, owner] * scale[kinds], u)
+        u, owner, eta0 = shots
+        pick, at = _draw(np.vstack((weight, lost_w))[:, owner] * scale[kinds], u)
         ended = pick == len(codes)
         lost_w = np.bincount(owner, weights=ended, minlength=rows)  # one record per shot
         live = np.flatnonzero(~ended)
         picked = pick[live] * rows + owner[live]
-        if len(owner) == rows:  # one shot per row: the drawn pairs are distinct
+        if eta0 < 1.0:  # a click fails past eta0 of its weight; the key's low bit says so
+            failed = (kinds[pick[live]] == 1) & (at[live] >= eta0)
+            picked = 2 * picked + failed
+        if len(owner) == rows:  # one shot per row: the drawn children are distinct
             owner = np.arange(len(live))
         else:
             picked, owner = np.unique(picked, return_inverse=True)
+        if failed is not None:
+            picked, failed = np.divmod(picked, 2)
+            failed = failed.astype(bool)
     else:
         lost_w *= scale[2]
-        if len(picked) < keep.size:
-            # D3 children and whole clicks at or below PRUNE_TOL join the row's
-            # loss; a kept click's D1 or LOST child at or below it is booked as it is
-            whole = ~keep
-            if lossy:
-                clicked = (weight[d3::2] + weight[d3 + 1::2] > PRUNE_TOL).repeat(2, axis=0)
-                whole[d3:] = ~clicked
-                dropped = clicked & ~keep[d3:] & (weight[d3:] > 0.0)
-                pruned = [(dropped[k], codes[d3 + k], weight[d3 + k] * scale[1])
-                          for k in range(4) if dropped[k].any()]
-            lost_w += (np.where(whole, weight, 0.0) * scale[kinds[:-1]]).sum(axis=0)
+        if len(picked) < keep.size:  # children at or below PRUNE_TOL join the row's loss
+            lost_w += (np.where(keep, 0.0, weight) * scale[kinds[:-1]]).sum(axis=0)
     # a loss record keeps the row's fates: photons still IN_CIRCUIT count as LOST
     ended = np.count_nonzero(lost_w)
     if ended == rows:
@@ -413,16 +415,14 @@ def _photon_step(stack: BranchStack, photon: int, units, eta0: float, lost: list
     elif ended:
         mask = lost_w > 0.0
         lost.append((stack.fates[mask], lost_w[mask]))
-    for mask, code, w in pruned:
-        fates = stack.fates[mask]
-        fates[:, photon] = code
-        lost.append((fates, w[mask]))
 
     flat = kids.reshape(weight.size, -1)
-    amps = flat if len(picked) == weight.size else flat[picked]
+    amps = flat if shots is None and len(picked) == weight.size else flat[picked]
     block, parent = np.divmod(picked, rows)
     fates = stack.fates[parent]
     fates[:, photon] = codes[block]
+    if failed is not None:
+        fates[failed, photon] = _LOST
     child_pols = stack.pols[parent]
     child_pols[:, photon] = pols[block]
     weight = weight.ravel()[picked]
@@ -576,23 +576,67 @@ def _record(row: list, probability: float) -> OutcomeRecord:
                          QD_PAIRS[row[-1] - 1] if row[-1] else None, probability)
 
 
+# keys `_records` unpacks at once, so that its int64 digits stay small next to the records
+_DIGIT_ROWS = 2 ** 16
+
+
 def _records(keys: np.ndarray, probs: np.ndarray, n: int) -> Records:
     """Sum probabilities per packed key; records come sorted by (fate values, QD pair)."""
     unique, sums = _sum_by_key(keys, probs)
     kept = sums > 0.0
-    digits = unique[kept, None] // 5 ** np.arange(n, -1, -1) % 5  # photons, then QD code
-    return Records(digits.astype(np.int8), sums[kept])
+    unique = unique[kept]
+    digits = np.empty((len(unique), n + 1), np.int8)  # photons, then QD code
+    powers = 5 ** np.arange(n, -1, -1)
+    for start in range(0, len(unique), _DIGIT_ROWS):
+        part = slice(start, start + _DIGIT_ROWS)
+        digits[part] = unique[part, None] // powers % 5
+    return Records(digits, sums[kept])
 
 
-def _evolve(vec: np.ndarray, units, eta0: float, order, book=None, draws=None, weights=None):
+# bytes `_thin` holds per entry of one photon's expanded table: the table it was given,
+# the digit and click masks, the expanded keys and probabilities, and the sort and
+# sums of `_sum_by_key`; the tracemalloc peak over the entries, rounded up
+_THIN_ENTRY_BYTES = 96
+
+
+def _thin(keys: np.ndarray, probs: np.ndarray, etas) -> tuple[np.ndarray, np.ndarray]:
+    """The summed records (packed `keys`, `probs`) of a run whose destructive detectors
+    always click, thinned to efficiency etas[k] for photon k.
+
+    A click fails independently of the scattering, so for each photon with
+    eta < 1 every D1 or D2 digit stays with weight eta or turns LOST with
+    weight 1 - eta; the table is summed per key after each photon. A photon
+    whose expanded table would pass MAX_STEP_BYTES raises `_OverBudget` first.
+    """
+    n = len(etas)
+    for k, eta in enumerate(etas):
+        if eta == 1.0:
+            continue
+        place = 5 ** (n - k)
+        digit = keys // place % 5
+        click = digit <= _D2
+        need = (len(keys) + np.count_nonzero(click)) * _THIN_ENTRY_BYTES
+        if need > MAX_STEP_BYTES:
+            raise _OverBudget(f"{n} photons need {need} bytes to thin {len(keys)} records, "
+                              f"over the {MAX_STEP_BYTES}-byte budget")
+        failed = keys[click] + (_LOST - digit[click]) * place, (1.0 - eta) * probs[click]
+        stay = ((keys, np.where(click, eta * probs, probs)) if eta
+                else (keys[~click], probs[~click]))  # at eta = 0 every click fails
+        keys, probs = _sum_by_key(*map(np.concatenate, zip(stay, failed)))
+    return keys, probs
+
+
+def _evolve(vec: np.ndarray, units, order, book=None, draws=None, weights=None,
+            eta0: float = 1.0):
     """All photons through the pipeline, from the one row of `vec`.
 
     Given `draws`, a (shots, n + 1) block of uniforms, the run is sampled:
     every shot starts in that row, keeps its id (which indexes its uniforms
     and its column of `weights`, the (3, shots) `_units` ratios) and the
-    index of its row, and each step draws one child per shot
-    (`_photon_step`). Else `weights` is the moment table (`_moments`) of the
-    loss records, or None. Yields the final rows: one stack, in a sampled run
+    index of its row, and each step draws one child per shot, whose clicks
+    fail past `eta0` (`_photon_step`). Else `weights` is the moment table
+    (`_moments`) of the loss records, or None, and every click succeeds.
+    Yields the final rows: one stack, in a sampled run
     as (stack, shot ids, their rows). A sampled step that would pass the
     budget halves its rows, each half with its shots, carried to the end one
     after the other; any other such step is refused. Each step's loss
@@ -608,11 +652,12 @@ def _evolve(vec: np.ndarray, units, eta0: float, order, book=None, draws=None, w
             try:
                 if shots is None:
                     scale = _ONES if weights is None else _scale(weights, stack.fates)
-                    stack = _photon_step(stack, order[fed], units, eta0, lost, held, scale)
+                    stack = _photon_step(stack, order[fed], units, lost, held, scale)
                 else:
                     shot, owner = shots
-                    stack, live, owner = _photon_step(stack, order[fed], units, eta0, lost, held,
-                                                      weights[:, shot], (draws[shot, fed], owner))
+                    stack, live, owner = _photon_step(stack, order[fed], units, lost, held,
+                                                      weights[:, shot],
+                                                      (draws[shot, fed], owner, eta0))
                     shots = (shot[live], owner)
             except _OverBudget:
                 if shots is None or len(stack) == 1:
@@ -630,10 +675,10 @@ def _evolve(vec: np.ndarray, units, eta0: float, order, book=None, draws=None, w
         yield stack if shots is None else (stack, *shots)
 
 
-def check_fits(n: int, config: AnalyzerConfig) -> None:
+def check_fits(n: int) -> None:
     """Refuse an n-photon run before it allocates if its first step cannot fit MAX_STEP_BYTES,
     counted with the fewest children a step makes, as that step would refuse it anyway."""
-    _check_step(n, 1, 4 * 2 ** n, len(_BLOCKS[False, config.eta0 < 1.0][0]))
+    _check_step(n, 1, 4 * 2 ** n, len(_BLOCKS[False][0]))
 
 
 def _feeding_order(photons: QubitRegister, config: AnalyzerConfig, order) -> list[int]:
@@ -646,7 +691,7 @@ def _feeding_order(photons: QubitRegister, config: AnalyzerConfig, order) -> lis
     order = list(range(n)) if order is None else list(order)
     if sorted(order) != list(range(n)):
         raise ValueError("order must be a permutation of the photon indices")
-    check_fits(n, config)
+    check_fits(n)
     return order
 
 
@@ -661,7 +706,9 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
 
     Summing the returned branch vectors (`amps`) reconstructs the joint
     photon/QD state with the destructive detectors treated as nondestructive,
-    which is what conditional post-measurement checks need. Monochromatic
+    which is what conditional post-measurement checks need. The branches are
+    those of perfect destructive detectors, whatever `config.eta0`: a failed
+    click changes no vector, only the records (`_thin`). Monochromatic
     configs only.
     """
     if config.spectrum is not None and config.mode == "realistic":
@@ -669,22 +716,22 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
     order = _feeding_order(photons, config, order)
     units, _ = _units(*config.reflection_pairs())
     vec = _with_spins(photons.amplitudes)
-    return [branch for stack in _evolve(vec, units, config.eta0, order)
+    return [branch for stack in _evolve(vec, units, order)
             for branch in stack.views()]
 
 
-# a pulse Monte-Carlo run draws its shots in groups of this many amplitudes' worth of
-# shots, so its memory does not grow with them; a one-node group takes this // 16 shots
+# a Monte-Carlo run draws its shots in groups of this // 16, so that its memory
+# does not grow with them
 _SHOT_BLOCK = 2 ** 16
 
 
 def _shot_groups(config: AnalyzerConfig, pulse: bool, n: int, shots: int):
-    """(units, ratios, draws) per group of shots. A pulse group draws each shot's
-    omega (the spectral density is a normal law with std sigma/sqrt2) first, and
-    scatters with their envelope (`_units`). A one-node group draws only
-    uniforms, so its size (that of an n = 2 pulse group) keeps the stream."""
+    """(units, ratios, draws) per group of `_SHOT_BLOCK // 16` shots. A pulse group
+    draws each shot's omega (the spectral density is a normal law with std
+    sigma/sqrt2) first, and scatters with their envelope (`_units`). A one-node
+    group draws only uniforms, so its size keeps the stream."""
     rng = np.random.default_rng(config.seed)
-    size = max(1, _SHOT_BLOCK // (4 * 2 ** n)) if pulse else _SHOT_BLOCK // 16
+    size = _SHOT_BLOCK // 16
     units, ratios = (None, None) if pulse else _units(*config.reflection_pairs())
     for start in range(0, shots, size):
         rows = min(size, shots - start)
@@ -726,7 +773,7 @@ def _run(photons: QubitRegister, config: AnalyzerConfig, order, shots: int):
             if draws is None and lost:
                 add()
 
-        for stack in _evolve(vec, units, config.eta0, order, book, draws, weights):
+        for stack in _evolve(vec, units, order, book, draws, weights, config.eta0):
             if draws is None:
                 readout = _qd_readouts(stack.amps)[1]
                 row, pair = np.nonzero(readout > PRUNE_TOL)
@@ -737,12 +784,14 @@ def _run(photons: QubitRegister, config: AnalyzerConfig, order, shots: int):
             else:  # each shot draws its pair from its row's four weights
                 stack, shot, owner = stack
                 readout = _qd_readouts(stack.amps)[1][owner]
-                booked.append((_pack(stack.fates)[owner] + 1 + _draw(readout.T, draws[shot, n]),
-                               np.ones(len(shot))))
+                pair = _draw(readout.T, draws[shot, n])[0]
+                booked.append((_pack(stack.fates)[owner] + 1 + pair, np.ones(len(shot))))
             del stack, readout  # the next part of a sampled run goes without them
         add()
     keys, probs = booked[0]
-    return _records(keys, probs / shots if sampled else probs, n)
+    if sampled:
+        return _records(keys, probs / shots, n)
+    return _records(*_thin(keys, probs, (config.eta0,) * n), n)
 
 
 def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,

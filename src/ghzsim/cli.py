@@ -47,6 +47,10 @@ STATE_GRAMMAR = ("state spec grammar: 'GHZ:<bitstring>' (photon count inferred f
 # and 600 bytes per row, rounded up
 _REFLECTION_ROW_BYTES = 1400
 _MAP_ROW_BYTES = 640
+# bytes `analyze` holds per record from its columns to its rendered output: the
+# tracemalloc peak of a JSON run at 29,025, 86,272 and 252,125 records (n = 8, 9 and
+# 10 at eta0 = 0.9) is 903, 910 and 925 bytes per record, rounded up
+_ANALYZE_ROW_BYTES = 1000
 
 
 class UsageError(Exception):
@@ -270,7 +274,7 @@ def _parse_axis(text: str, name: str) -> SweepAxis:
 
 
 def _check_rows(rows: int, row_bytes: int, what: str) -> None:
-    """Refuse a sweep of `rows` table rows before its grid is built if it would pass the budget."""
+    """Refuse a table of `rows` rows before it is built if it would pass the budget."""
     if rows * row_bytes > MAX_STEP_BYTES:
         raise UsageError(f"{what} of {rows} rows needs about {rows * row_bytes} bytes, "
                          f"over the {MAX_STEP_BYTES}-byte budget")
@@ -283,7 +287,7 @@ def _parse_list(text: str, name: str, cast) -> list:
         raise UsageError(f"bad {name} list {text!r}") from exc
 
 
-def parse_state_spec(text: str, config: AnalyzerConfig):
+def parse_state_spec(text: str):
     """'GHZ:<bits>' or 'BELL:<name>' to (register, true label, display name)."""
     kind, _, rest = text.partition(":")
     if kind == "GHZ" and rest:
@@ -291,7 +295,7 @@ def parse_state_spec(text: str, config: AnalyzerConfig):
             label = GhzLabel.from_string(rest)
         except ValueError as exc:
             raise UsageError(f"{exc}; {STATE_GRAMMAR}") from exc
-        check_fits(label.n, config)  # before the register is built
+        check_fits(label.n)  # before the register is built
         return ghz_state(label.n, label), label, f"GHZ:{label}"
     if kind == "BELL":
         try:
@@ -398,8 +402,9 @@ def _analyzer_config(settings: _Settings, args: argparse.Namespace) -> AnalyzerC
 
 
 def _echo_analyzer(meta: dict, config: AnalyzerConfig) -> None:
-    meta.update(mode=config.mode, eta0=config.eta0, enumeration=config.enumeration,
-                seed=config.seed, quad_nodes=config.quad_nodes)
+    meta.update(mode=config.mode, eta0=config.eta0, enumeration=config.enumeration)
+    if meta["command"] == "analyze":  # a swap is exhaustive and monochromatic
+        meta.update(seed=config.seed, quad_nodes=config.quad_nodes)
     if config.qnd1 is not None:
         _echo_params(meta, config.qnd1)
     if config.omega is not None:
@@ -411,9 +416,10 @@ def _echo_analyzer(meta: dict, config: AnalyzerConfig) -> None:
 def cmd_analyze(args: argparse.Namespace) -> RunReport:
     settings = _settings(args)
     config = _analyzer_config(settings, args)
-    photons, true_label, display = parse_state_spec(args.state, config)
+    photons, true_label, display = parse_state_spec(args.state)
     n = photons.num_qubits
     records = run_analyzer(photons, config, shots=args.shots)
+    _check_rows(len(records), _ANALYZE_ROW_BYTES, "analyze output")
     dist = classification_distribution(records, n)
     conclusive = conclusive_probability(records)
     correct = dist.get(str(true_label), 0.0)

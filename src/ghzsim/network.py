@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._ops import SQRT_HALF
-from .circuit import (PRUNE_TOL, AnalyzerConfig, BranchStack, HybridState, _clicked,
-                      _initial_stack, _pack, _photon_step, _qd_readouts, _records, _units,
-                      _with_spins)
+from .circuit import (_D2, PRUNE_TOL, AnalyzerConfig, BranchStack, HybridState, _clicked,
+                      _initial_stack, _pack, _photon_step, _qd_readouts, _records, _thin,
+                      _units, _with_spins)
 from .states import GhzLabel, QubitRegister
 
 
@@ -33,14 +33,16 @@ class NetworkState:
 
     `stack` holds the live branches, one per row, with fates over the m
     photons (IN_CIRCUIT until fed); `lost` holds the (fates, weights)
-    arrays of every run that ended in loss or pruning (`circuit._photon_step`);
-    `fed` marks the photons sent through the analyzer.
+    arrays of every run that ended in loss or pruning (`circuit._photon_step`).
+    The rows are those of destructive detectors that always click; `fed`
+    holds the detector efficiency eta0 each photon was fed with, or None for
+    a photon not yet fed, and the swap thins its records by it.
     """
 
     num_pairs: int
     stack: BranchStack
     lost: list
-    fed: tuple[bool, ...]
+    fed: tuple[float | None, ...]
 
     @property
     def branches(self) -> list[HybridState]:
@@ -66,23 +68,22 @@ def make_network(num_pairs: int) -> NetworkState:
     pairs = np.zeros(4 ** m, dtype=complex)
     pairs[::2 ** m + 1] = SQRT_HALF ** m
     stack = _initial_stack(_with_spins(pairs), m)
-    return NetworkState(num_pairs=m, stack=stack, lost=[], fed=(False,) * m)
+    return NetworkState(num_pairs=m, stack=stack, lost=[], fed=(None,) * m)
 
 
 def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> NetworkState:
     """Send one hub photon through the analyzer, branching on its click."""
     if not 0 <= photon < state.num_pairs:
         raise ValueError(f"photon index {photon} out of range")
-    if state.fed[photon]:
+    if state.fed[photon] is not None:
         raise ValueError(f"photon {photon} was already fed")
     if config.spectrum is not None:
         raise ValueError("network runs are monochromatic; use a fixed omega")
     if config.enumeration != "exhaustive":
         raise ValueError("network runs enumerate every branch; use exhaustive enumeration")
     lost = list(state.lost)
-    stack = _photon_step(state.stack, photon, _units(*config.reflection_pairs())[0],
-                         config.eta0, lost)
-    fed = tuple(done or i == photon for i, done in enumerate(state.fed))
+    stack = _photon_step(state.stack, photon, _units(*config.reflection_pairs())[0], lost)
+    fed = tuple(config.eta0 if i == photon else eta0 for i, eta0 in enumerate(state.fed))
     return NetworkState(state.num_pairs, stack, lost, fed)
 
 
@@ -106,8 +107,9 @@ class SwapOutcome:
 def _swap_outcomes(state: NetworkState) -> list[SwapOutcome]:
     """Every lost, inconclusive and heralded run as the analyzer's records, in their order."""
     m = state.num_pairs
-    if not all(state.fed):
-        raise ValueError(f"swap needs all {m} photons fed, got {sum(state.fed)}")
+    if None in state.fed:
+        raise ValueError(f"swap needs all {m} photons fed, "
+                         f"got {m - state.fed.count(None)}")
     stack = state.stack
     clicked = _clicked(stack.fates)
     comps, weights = _qd_readouts(stack.amps[clicked])
@@ -115,12 +117,20 @@ def _swap_outcomes(state: NetworkState) -> list[SwapOutcome]:
     # the heralded keys are distinct, so their argsort is the records' order of them
     heralded = _pack(stack.fates[clicked])[row] + 1 + pair
     aborted = [*state.lost, (stack.fates[~clicked], stack.weight[~clicked])]
-    records = _records(np.concatenate([*(_pack(fates) for fates, _ in aborted), heralded]),
-                       np.concatenate([*(w for _, w in aborted), weights[row, pair]]), m)
-    remotes = iter(comps[row, :, pair][np.argsort(heralded)])
+    keys = np.concatenate([*(_pack(fates) for fates, _ in aborted), heralded])
+    probs = np.concatenate([*(w for _, w in aborted), weights[row, pair]])
+    if min(state.fed) < 1.0:
+        keys, probs = _thin(keys, probs, state.fed)
+        # a run with a failed click is aborted before the QD readout
+        clicks = keys[:, None] // 5 ** np.arange(m, 0, -1) % 5 <= _D2
+        keys = np.where(clicks.all(axis=1), keys, keys - keys % 5)
+    records = _records(keys, probs, m)
+    # a failed click scales a heralded run's probability, not its remote state
+    order = np.argsort(heralded)
+    remotes = iter(comps[row, :, pair][order] / np.sqrt(weights[row, pair][order])[:, None])
     return [SwapOutcome(r.fates, r.qd_readout, r.probability,
-                        None if r.qd_readout is None
-                        else QubitRegister(m, next(remotes) / np.sqrt(r.probability)), label)
+                        None if r.qd_readout is None else QubitRegister(m, next(remotes)),
+                        label)
             for r, label in zip(records, records.labels())]
 
 

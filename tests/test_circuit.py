@@ -66,7 +66,7 @@ def stacked_step(photon, refl):
     stack = _initial_stack(kron_chain(np.array(photon, dtype=complex), KET_PLUS, KET_PLUS), 1)
     units, _ = _units(refl, refl)
     lost: list = []
-    children = _photon_step(stack, 0, units, 1.0, lost)
+    children = _photon_step(stack, 0, units, lost)
     lost_w = 0.0
     for fates, w in lost:
         assert (fates == fates[:1]).all()  # every loss record of one photon is (LOST,)
@@ -225,20 +225,26 @@ def full_vector_branches(psi, n, refl1, refl2, eta0):
 
 
 class TestFinalBranchesReference:
+    N = 3
+    CONFIG = AnalyzerConfig(
+        mode="realistic", omega=1.3,
+        qnd1=CavityQDParams(g=30.0, kappa=90.0, kappa_s=30.0, gamma=0.3, omega_x=2.0),
+        qnd2=CavityQDParams(g=25.0, kappa=200.0, kappa_s=20.0, gamma=0.4, omega_c=-1.0))
+    PHOTONS = random_register(N, seed=11)
+
+    def reference(self, eta0):
+        psi = kron_chain(self.PHOTONS.amplitudes, KET_PLUS, KET_PLUS)
+        return full_vector_branches(psi, self.N, *self.CONFIG.reflection_pairs(), eta0)
+
     def test_realistic_detuned_lossy_matches_full_vectors(self):
         # every fate tuple's branches summed, against the full-vector algebra;
-        # D3 via QND1/QND2 and LOST after D1/D2 share fates but not polarization
-        n = 3
-        qnd1 = CavityQDParams(g=30.0, kappa=90.0, kappa_s=30.0, gamma=0.3, omega_x=2.0)
-        qnd2 = CavityQDParams(g=25.0, kappa=200.0, kappa_s=20.0, gamma=0.4, omega_c=-1.0)
-        config = AnalyzerConfig(mode="realistic", qnd1=qnd1, qnd2=qnd2, omega=1.3, eta0=0.9)
-        photons = random_register(n, seed=11)
-        refl1, refl2 = config.reflection_pairs()
-        psi = kron_chain(photons.amplitudes, KET_PLUS, KET_PLUS)
-        expected = full_vector_branches(psi, n, refl1, refl2, config.eta0)
+        # D3 via QND1/QND2 share fates but not polarization. The branches are those
+        # of clicks that always succeed, so the reference's LOST vectors are zero
+        expected = {fates: vec for fates, vec in self.reference(1.0).items()
+                    if PhotonFate.LOST not in fates}
         got_amps: dict = {}
         got_weight: dict = {}
-        for br in circuit_final_branches(photons, config):
+        for br in circuit_final_branches(self.PHOTONS, replace(self.CONFIG, eta0=0.9)):
             got_amps[br.fates] = got_amps.get(br.fates, 0.0) + br.amps
             got_weight[br.fates] = got_weight.get(br.fates, 0.0) + br.weight
         assert set(got_amps) == set(expected)
@@ -246,6 +252,23 @@ class TestFinalBranchesReference:
             np.testing.assert_allclose(got_amps[fates], vec, rtol=0, atol=1e-12)
             # same-fate components sit on different photon bits, so they add in norm
             assert got_weight[fates] == pytest.approx(np.vdot(vec, vec).real, abs=1e-12)
+
+    @pytest.mark.parametrize("eta0", [0.9, 0.3, 0.0])
+    def test_realistic_detuned_records_match_full_vector_readouts(self, eta0):
+        # the records of a thinned run against the QD readout of each fate tuple of
+        # the full-vector algebra, in which a failed click is a LOST branch of its own
+        kets = [kron_chain(KET_PLUS if a == "+" else KET_MINUS,
+                           KET_PLUS if b == "+" else KET_MINUS) for a, b in circuit.QD_PAIRS]
+        expected = {}
+        for fates, vec in self.reference(eta0).items():
+            weights = (np.abs(vec.reshape(-1, 4) @ np.array(kets).T) ** 2).sum(axis=0)
+            expected.update(((fates, pair), w) for pair, w in zip(circuit.QD_PAIRS, weights))
+        records = run_analyzer(self.PHOTONS, replace(self.CONFIG, eta0=eta0))
+        got = {(r.fates, r.qd_readout): r.probability for r in records if r.qd_readout}
+        assert got
+        for key in set(got) | set(expected):
+            assert got.get(key, 0.0) == pytest.approx(expected.get(key, 0.0), abs=1e-12), key
+        assert math.fsum(records.probs.tolist()) == pytest.approx(1.0, abs=1e-14)
 
 
 class TestRealisticRuns:
@@ -371,6 +394,43 @@ class TestMemoryBudget:
             run_analyzer(ghz_state(3, (0, 0, 0)), pulse)
         assert str(refused.value) == str(mono.value)
 
+    def test_thinning_counts_each_photon_table_before_building_it(self, monkeypatch):
+        # at eta0 < 1 the first photon's clicks double their entries; one byte short
+        # of that table, the records of perfect detectors are not thinned
+        n = 5
+        config = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=1.5)
+        photons = ghz_state(n, (0, 1, 1, 0, 1))
+        perfect = run_analyzer(photons, config)
+        keys = perfect.digits.astype(np.int64) @ 5 ** np.arange(n, -1, -1)
+        need = (len(keys) + np.count_nonzero(perfect.digits[:, 0] <= 1)) * 96
+        assert circuit._THIN_ENTRY_BYTES == 96
+        monkeypatch.setattr(circuit, "MAX_STEP_BYTES", need - 1)
+        with pytest.raises(ValueError, match=f"5 photons need {need} bytes to thin "
+                                             f"{len(keys)} records, over the {need - 1}-byte"):
+            circuit._thin(keys, perfect.probs, (0.9,) * n)
+        monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 2 ** 30)
+        thinned = circuit._records(*circuit._thin(keys, perfect.probs, (0.9,) * n), n)
+        assert thinned == run_analyzer(photons, replace(config, eta0=0.9))
+
+    def test_thin_entry_bytes_bound_what_thinning_allocates(self, monkeypatch):
+        n = 8
+        config = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=0.0)
+        perfect = run_analyzer(ghz_state(n, (0, 1) * 4), config)
+        keys = perfect.digits.astype(np.int64) @ 5 ** np.arange(n, -1, -1)
+        entries = []  # of each photon's expanded table, as `_sum_by_key` gets it
+        sum_by_key = circuit._sum_by_key
+        monkeypatch.setattr(circuit, "_sum_by_key",
+                            lambda k, p: entries.append(len(k)) or sum_by_key(k, p))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            circuit._thin(keys, perfect.probs, (0.9,) * n)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        counted = max(entries) * circuit._THIN_ENTRY_BYTES
+        assert peak <= counted < 1.3 * peak
+
     def test_pulse_run_memory_does_not_grow_with_nodes(self):
         # the nodes only weigh records (`circuit._moments`): 16 to 256 of them
         # run on the same rows
@@ -390,7 +450,7 @@ class TestMemoryBudget:
         assert max(peaks) - min(peaks) <= 2 ** 20
 
     @pytest.mark.parametrize("config, n", [
-        (AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, eta0=0.9), 7),
+        (AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS), 7),
         (AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, spectrum=PulseSpectrum(0.0, 0.6)), 4),
     ])
     def test_step_bytes_bound_what_a_step_allocates(self, config, n):
@@ -401,7 +461,7 @@ class TestMemoryBudget:
             x, weights = _hermite_nodes(config.quad_nodes)
             units, ratios = _units(*config.reflection_pairs(0.6 * x))
         moments = circuit._moments(ratios, weights / weights.sum(), n)
-        blocks = 6 if config.eta0 < 1.0 else 4
+        blocks = 4
         stack = _initial_stack(kron_chain(ghz_state(n, (0,) * n).amplitudes, KET_PLUS, KET_PLUS),
                                n)
         lost: list = []
@@ -411,7 +471,7 @@ class TestMemoryBudget:
                 counted = circuit._step_bytes(len(stack), stack.amps.shape[1], blocks, n)
                 before = tracemalloc.get_traced_memory()[0] - stack.amps.nbytes
                 tracemalloc.reset_peak()
-                stack = _photon_step(stack, photon, units, config.eta0, lost,
+                stack = _photon_step(stack, photon, units, lost,
                                      scale=circuit._scale(moments, stack.fates))
                 peak = tracemalloc.get_traced_memory()[1] - before
                 assert peak <= counted
@@ -594,10 +654,10 @@ class TestMonteCarlo:
         """Copy every shot's row before each photon step, so no row is shared."""
         step = circuit._photon_step
 
-        def per_shot(stack, photon, units, eta0, lost, held, scale, shots):
-            u, owner = shots
-            return step(stack.select(owner), photon, units, eta0, lost, held, scale,
-                        (u, np.arange(len(u))))
+        def per_shot(stack, photon, units, lost, held, scale, shots):
+            u, owner, eta0 = shots
+            return step(stack.select(owner), photon, units, lost, held, scale,
+                        (u, np.arange(len(u)), eta0))
 
         monkeypatch.setattr(circuit, "_photon_step", per_shot)
 
@@ -797,6 +857,16 @@ class TestRecordArrays:
             assert any(label is None and r.qd_readout is not None for r, label
                        in zip(records, expected))
 
+    def test_digits_do_not_depend_on_how_many_keys_unpack_at_once(self, monkeypatch):
+        config = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=1.0, eta0=0.9)
+        photons = ghz_state(4, (0, 1, 1, 0))
+        reference = run_analyzer(photons, config)
+        monkeypatch.setattr(circuit, "_DIGIT_ROWS", 7)
+        got = run_analyzer(photons, config)
+        assert len(got) > 7 and got.digits.dtype == np.int8
+        assert np.array_equal(got.digits, reference.digits)
+        assert np.array_equal(got.probs, reference.probs)
+
     def test_records_are_views_of_the_arrays(self):
         config = AnalyzerConfig(mode="realistic", qnd1=TABLE_PARAMS, omega=1.0, eta0=0.9)
         records = run_analyzer(ghz_state(3, (0, 1, 1)), config)
@@ -825,7 +895,7 @@ class TestCheckFits:
         budget = 400_000
         assert dim * 16 + circuit._step_bytes(1, dim, 2, 7) < budget < 64 * dim * 16
         monkeypatch.setattr(circuit, "MAX_STEP_BYTES", budget)
-        circuit.check_fits(7, dark)
+        circuit.check_fits(7)
         got = run_analyzer(photons, dark)  # in node groups, so sums differ in the last bits
         assert [(r.fates, r.qd_readout) for r in got] == \
             [(r.fates, r.qd_readout) for r in reference]

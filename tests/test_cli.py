@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ghzsim import circuit, cli
-from ghzsim.circuit import AnalyzerConfig, run_analyzer
+from ghzsim.circuit import run_analyzer
 from ghzsim.cli import (_analyzer_config, _fmt, _settings, build_parser, cmd_analyze, main,
                         parse_state_spec)
 from ghzsim.scattering import (CavityQDParams, PulseSpectrum, average_efficiency, error_prob,
@@ -298,6 +298,21 @@ class TestAnalyzeCommand:
                 f"step on 1 rows of {4 * 2 ** 22} amplitudes") in err
         assert "ROADMAP.md item 3" in err
 
+    def test_output_over_budget_exits_2_before_its_columns(self, tmp_path, capsys,
+                                                            monkeypatch):
+        # at a budget one byte short of its records' output, the run itself still
+        # fits, but its columns and text are refused before they are built
+        argv = ["analyze", "GHZ:01101", *FIG5, "--eta0", "0.9", "--omega", "1.5"]
+        code, text = run_cli(argv, tmp_path, "a.json")
+        assert code == 0
+        records = len(json.loads(text)["outcomes"])
+        monkeypatch.setattr(cli, "MAX_STEP_BYTES", records * cli._ANALYZE_ROW_BYTES - 1)
+        code, text = run_cli(argv, tmp_path, "b.json")
+        assert code == 2
+        assert text == ""
+        assert (f"analyze output of {records} rows needs about "
+                f"{records * cli._ANALYZE_ROW_BYTES} bytes") in capsys.readouterr().err
+
     def test_label_too_large_to_allocate_exits_2(self, tmp_path, capsys):
         # a 2^40 register cannot be allocated: refused from the label's length
         code, text = run_cli(["analyze", "GHZ:" + "0" * 40], tmp_path, "a.json")
@@ -348,10 +363,10 @@ class TestAnalyzeCommand:
         assert doc["classification"]["11"] == pytest.approx(1.0, abs=1e-12)
 
     def test_state_grammar(self):
-        reg, label, name = parse_state_spec("GHZ:010", AnalyzerConfig())
+        reg, label, name = parse_state_spec("GHZ:010")
         assert label == GhzLabel((0, 1, 0))
         assert reg.num_qubits == 3
-        _, label, _ = parse_state_spec("BELL:psi-", AnalyzerConfig())
+        _, label, _ = parse_state_spec("BELL:psi-")
         assert label == GhzLabel((1, 1))
 
     @pytest.mark.parametrize("bad", ["GHZ:", "GHZ:012", "BELL:phi", "FOO:1",
@@ -378,7 +393,7 @@ class TestAnalyzeRendering:
         args = build_parser().parse_args(argv)
         report = cmd_analyze(args)  # the metadata and the summary values
         config = _analyzer_config(_settings(args), args)
-        photons, _, _ = parse_state_spec(args.state, config)
+        photons, _, _ = parse_state_spec(args.state)
         n = photons.num_qubits
         rows = []
         for r in run_analyzer(photons, config, shots=args.shots):
@@ -562,6 +577,17 @@ class TestSwapCommand:
                                    "--omega", "0.0"], tmp_path, "b.json")
         assert json.loads(text)["outcomes"] == json.loads(on_resonance)["outcomes"]
         assert "sigma" not in json.loads(text)["metadata"]
+
+    def test_echoes_only_what_the_swap_reads(self, tmp_path):
+        # a swap is exhaustive and monochromatic: it reads neither seed nor quad_nodes
+        cfg = tmp_path / "f.cfg"
+        cfg.write_text("[analyzer]\nseed = 5\nquad_nodes = 8\neta0 = 0.9\n")
+        code, text = run_cli(["swap", "--pairs", "2", "--config", str(cfg), "--format", "csv"],
+                             tmp_path, "s.csv")
+        assert code == 0
+        meta = csv_meta(text)
+        assert "seed" not in meta and "quad_nodes" not in meta
+        assert meta["eta0"] == "0.90000000000000002" and meta["enumeration"] == "exhaustive"
 
 class TestReproducibility:
     def test_byte_identical_csv(self, tmp_path):

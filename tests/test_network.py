@@ -156,6 +156,25 @@ class TestBellSwap:
             == [((PhotonFate.LOST, PhotonFate.LOST), None)]
         assert outcomes[0].probability == pytest.approx(1.0, abs=1e-12)
 
+    def test_photons_fed_at_their_own_detector_efficiency(self):
+        # each photon's clicks thin by the efficiency it was fed with; a failed
+        # click changes the heralded mass, not the remote state
+        state = make_network(2)
+        state = feed_photon(state, 0, AnalyzerConfig(mode="ideal", eta0=0.9))
+        state = feed_photon(state, 1, AnalyzerConfig(mode="ideal", eta0=0.5))
+        assert state.fed == (0.9, 0.5)
+        outcomes = bell_swap(state)
+        heralded = [o for o in outcomes if o.remote_state is not None]
+        assert len(heralded) == 8
+        assert sum(o.probability for o in heralded) == pytest.approx(0.45, abs=1e-15)
+        for o in heralded:
+            assert fidelity(ghz_state(2, o.predicted), o.remote_state) \
+                == pytest.approx(1.0, abs=1e-12)
+        for o in outcomes:
+            if o.remote_state is None:  # aborted before the QD readout
+                assert PhotonFate.LOST in o.clicks and o.qd_readout is None
+        assert sum(o.probability for o in outcomes) == pytest.approx(1.0, abs=1e-14)
+
     def test_wrong_fed_count_rejected(self):
         state = feed_photon(make_network(2), 0, IDEAL)
         with pytest.raises(ValueError):
