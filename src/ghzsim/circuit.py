@@ -48,6 +48,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -522,8 +523,10 @@ class Records(Sequence):
     def __eq__(self, other) -> bool:
         return list(self) == list(other) if isinstance(other, (Records, list)) else NotImplemented
 
-    def decode(self) -> tuple[np.ndarray, np.ndarray]:
-        """(conclusive, label) per record: the paper's classification rule.
+    @cached_property
+    def decoded(self) -> tuple[np.ndarray, np.ndarray]:
+        """(conclusive, label) per record, read-only: the paper's classification rule,
+        worked out once per `Records`.
 
         A record is conclusive when every photon clicked D1 (H, bit 0) or D2
         (V, bit 1). Label bit i_j is the parity of photons j and n; the phase
@@ -538,32 +541,55 @@ class Records(Sequence):
         lead = bits[:, :-1] ^ bits[:, -1:]
         phase = _PHASE[n % 2][self.digits[:, n]]
         labels = lead @ 2 ** np.arange(n - 1, 0, -1) + phase
-        return conclusive, np.where(conclusive & (phase >= 0), labels, -1)
+        return _read_only(conclusive, np.where(conclusive & (phase >= 0), labels, -1))
+
+    @cached_property
+    def label_groups(self) -> tuple[np.ndarray, np.ndarray]:
+        """The distinct labels of `decoded` in ascending order and the index of each
+        record's label among them, read-only; worked out once per `Records`."""
+        return _read_only(*np.unique(self.decoded[1], return_inverse=True))
 
     def labels(self) -> list:
-        """The GhzLabel of every record (`decode`), None where it is inconclusive."""
+        """The GhzLabel of every record (`decoded`), None where it is inconclusive."""
         spec = f"0{self.digits.shape[1] - 1}b"
         return [None if v < 0 else GhzLabel.from_string(format(v, spec))
-                for v in self.decode()[1].tolist()]
+                for v in self.decoded[1].tolist()]
 
-    def columns(self) -> tuple[list, list, list, list]:
-        """Spelled fates, H/V pattern, QD pair and label of every record, as strings.
+    def columns(self) -> tuple[tuple[list, np.ndarray], ...]:
+        """Spelled fates, H/V pattern, QD pair, probability and label of the records,
+        each as (values, the index of every record's value among them).
 
-        Fates are joined by "/"; the pattern is "" unless the record is
+        Fates and pattern hold one value per distinct fates key, the QD pair
+        one per QD code, the probability one per distinct float64 bit pattern
+        (so that 0.0 and -0.0 stay two values) and the label one per distinct
+        label. Fates are joined by "/"; the pattern is "" unless the record is
         conclusive, the QD pair "" after a loss, and the label INCONCLUSIVE
-        where `decode` gives none.
+        where `decoded` gives none.
         """
         n = self.digits.shape[1] - 1
         photons = self.digits[:, :n]
-        conclusive, labels = self.decode()
-        names = np.array([f.value for f in _FATES], dtype=object)[photons].tolist()
-        hv = map("".join, np.array(["H", "V"], dtype=object)[photons[conclusive]].tolist())
-        qd = np.array(["", *map("".join, QD_PAIRS)], dtype=object)[self.digits[:, n]]
+        _, first, of_fates = np.unique(photons.astype(np.int64) @ 5 ** np.arange(n - 1, -1, -1),
+                                       return_index=True, return_inverse=True)
+        rows = photons[first]  # the distinct fates
+        names = np.array([f.value for f in _FATES], dtype=object)[rows].tolist()
+        clicked = _clicked(rows)
+        patterns = np.full(len(rows), "", dtype=object)
+        patterns[clicked] = list(map("".join, np.array(["H", "V"], dtype=object)
+                                     [rows[clicked]].tolist()))
+        bits, of_prob = np.unique(self.probs.view(np.int64), return_inverse=True)
+        found, of_label = self.label_groups
         spec = f"0{n}b"
-        return (list(map("/".join, names)),
-                [next(hv) if c else "" for c in conclusive.tolist()],
-                qd.tolist(),
-                [INCONCLUSIVE if v < 0 else format(v, spec) for v in labels.tolist()])
+        return ((list(map("/".join, names)), of_fates), (patterns.tolist(), of_fates),
+                (["", *map("".join, QD_PAIRS)], self.digits[:, n]),
+                (bits.view(np.float64).tolist(), of_prob),
+                ([INCONCLUSIVE if v < 0 else format(v, spec) for v in found.tolist()], of_label))
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, made read-only, as a `Records` shares them with every caller."""
+    for array in arrays:
+        array.setflags(write=False)
+    return arrays
 
 
 def _clicked(fates: np.ndarray) -> np.ndarray:
@@ -580,11 +606,11 @@ def _record(row: list, probability: float) -> OutcomeRecord:
 _DIGIT_ROWS = 2 ** 16
 
 
-def _records(keys: np.ndarray, probs: np.ndarray, n: int) -> Records:
-    """Sum probabilities per packed key; records come sorted by (fate values, QD pair)."""
-    unique, sums = _sum_by_key(keys, probs)
+def _records(keys: np.ndarray, sums: np.ndarray, n: int) -> Records:
+    """The records of packed `keys` that are sorted and distinct, as `_sum_by_key` gives
+    them, with their summed probabilities `sums`; keys of no mass are dropped."""
     kept = sums > 0.0
-    unique = unique[kept]
+    unique = keys[kept]
     digits = np.empty((len(unique), n + 1), np.int8)  # photons, then QD code
     powers = 5 ** np.arange(n, -1, -1)
     for start in range(0, len(unique), _DIGIT_ROWS):
@@ -811,7 +837,7 @@ def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
 
 
 def classify(record: OutcomeRecord, n: int):
-    """Map one outcome record to a GHZ label, or None when inconclusive (`Records.decode`)."""
+    """Map one outcome record to a GHZ label, or None when inconclusive (`Records.decoded`)."""
     if len(record.fates) != n:
         raise ValueError(f"record covers {len(record.fates)} photons, expected {n}")
     return Records.of([record]).labels()[0]
@@ -820,7 +846,7 @@ def classify(record: OutcomeRecord, n: int):
 def conclusive_probability(records) -> float:
     """Probability that every photon lands on D1 or D2, summed in record order."""
     records = Records.of(records)
-    return sum(records.probs[records.decode()[0]].tolist())
+    return sum(records.probs[records.decoded[0]].tolist())
 
 
 def classification_distribution(records, n: int) -> dict[str, float]:
@@ -830,7 +856,7 @@ def classification_distribution(records, n: int) -> dict[str, float]:
         return {}
     if records.digits.shape[1] != n + 1:
         raise ValueError(f"records cover {records.digits.shape[1] - 1} photons, expected {n}")
-    found, index = np.unique(records.decode()[1], return_inverse=True)
+    found, index = records.label_groups
     sums = np.bincount(index, weights=records.probs).tolist()  # in record order per label
     out = {format(label, f"0{n}b"): p for label, p in zip(found.tolist(), sums) if label >= 0}
     if found[0] < 0:  # "inconclusive" sorts after every bit string

@@ -19,6 +19,7 @@ import configparser
 import functools
 import json
 import math
+import operator
 import os
 import sys
 from collections.abc import Mapping
@@ -47,9 +48,10 @@ STATE_GRAMMAR = ("state spec grammar: 'GHZ:<bitstring>' (photon count inferred f
 # and 600 bytes per row, rounded up
 _REFLECTION_ROW_BYTES = 1400
 _MAP_ROW_BYTES = 640
-# bytes `analyze` holds per record from its columns to its rendered output: the
-# tracemalloc peak of a JSON run at 29,025, 86,272 and 252,125 records (n = 8, 9 and
-# 10 at eta0 = 0.9) is 903, 910 and 925 bytes per record, rounded up
+# bytes `analyze` holds per record from its columns to its rendered output, a bound:
+# the tracemalloc peak of a JSON run (the largest format) at 29,003, 86,250 and
+# 252,103 records (n = 8, 9 and 10 at eta0 = 0.9) is 433, 441 and 450 bytes per
+# record; 1000 keeps the same runs refused (12 photons at eta0 = 0.9 exit 2)
 _ANALYZE_ROW_BYTES = 1000
 
 
@@ -61,11 +63,12 @@ class UsageError(Exception):
 class RunReport:
     """Tabular result plus resolved-configuration echo; payload overrides JSON.
 
-    `table` maps each column name, in output order, to that column's values.
+    `table` maps each column name, in output order, to that column's values:
+    a list, or (values, the index of each row's value among them).
     """
 
     metadata: dict
-    table: dict[str, list]
+    table: dict[str, list | tuple[list, np.ndarray]]
     payload: dict | None = field(default=None)
 
 
@@ -75,51 +78,94 @@ def _fmt(value) -> str:
     return str(value)
 
 
+_FLOAT_TEXT = operator.methodcaller("__format__", ".17g")
+
+
+def _text_encoder(values: list):
+    """`_fmt` for a column's values, picked once for the column."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return str
+    return _FLOAT_TEXT if kinds == {float} else _fmt
+
+
+def _json_encoder(values: list):
+    """The encoder `json.dumps` uses for a column's values, picked once for the column:
+    `encode_basestring_ascii` for strings and `float.__repr__` for finite floats."""
+    kinds = set(map(type, values))
+    if kinds == {str}:
+        return encode_basestring_ascii
+    if kinds == {float} and all(map(math.isfinite, values)):
+        return float.__repr__
+    return json.dumps
+
+
+def _cells(column, pick) -> list[str]:
+    """A table column as text, one string per row.
+
+    A column is a list of values, or (values, the index of each row's value
+    among them); the values are encoded once each, with the function that
+    `pick` returns for them, and then expanded by index.
+    """
+    values, index = column if isinstance(column, tuple) else (column, None)
+    texts = list(map(pick(values), values))
+    return texts if index is None else np.array(texts, dtype=object)[index].tolist()
+
+
 def render_csv(report: RunReport) -> str:
     lines = [f"# {k}={_fmt(v)}" for k, v in report.metadata.items()]
     lines.append(",".join(report.table))
-    lines.extend(",".join(map(_fmt, row)) for row in zip(*report.table.values()))
-    return "\n".join(lines) + "\n"
+    cells = [_cells(column, _text_encoder) for column in report.table.values()]
+    lines.extend(map(",".join, zip(*cells)))
+    lines.append("")  # the text ends in a newline
+    return "\n".join(lines)
 
 
-def _json_rows(table: dict[str, list]) -> str:
-    """json.dumps(rows, indent=2) of the table nested one level deep, one column at a time.
-
-    Strings go through `encode_basestring_ascii` and finite floats through
-    `float.__repr__`, as in `json.dumps`; each value follows its key in one
-    list of pieces.
-    """
-    rows = len(next(iter(table.values())))
+def _json_rows(table: dict, pieces: list) -> None:
+    """Append json.dumps(rows, indent=2) of the table, nested one level deep, to `pieces`,
+    one column at a time: each value follows its key."""
+    cells = [_cells(column, _json_encoder) for column in table.values()]
+    rows = len(cells[0])
     if not rows:
-        return "[]"
+        pieces.append("[]")
+        return
     width = 2 * len(table)
-    pieces = [""] * (width * rows)
-    for j, (key, values) in enumerate(table.items()):
-        kinds = set(map(type, values))
-        if kinds == {str}:
-            encode = encode_basestring_ascii
-        elif kinds == {float} and all(map(math.isfinite, values)):
-            encode = float.__repr__
-        else:
-            encode = json.dumps
+    pieces.append("[\n")
+    start = len(pieces)
+    pieces.extend([""] * (width * rows))
+    for j, key in enumerate(table):
         lead = "\n    },\n    {\n" if j == 0 else ",\n"
-        pieces[2 * j::width] = [f"{lead}      {encode_basestring_ascii(key)}: "] * rows
-        pieces[2 * j + 1::width] = list(map(encode, values))
-    pieces[0] = pieces[0][len("\n    },\n"):]  # the first row opens the list
-    return "[\n" + "".join(pieces) + "\n    }\n  ]"
+        pieces[start + 2 * j::width] = [f"{lead}      {encode_basestring_ascii(key)}: "] * rows
+        pieces[start + 2 * j + 1::width] = cells[j]
+    pieces[start] = pieces[start][len("\n    },\n"):]  # the first row opens the list
+    pieces.append("\n    }\n  ]")
+
+
+def _json_flat(value) -> str:
+    """json.dumps(value, indent=2) of a scalar or a dict of scalars, nested one level
+    deep: the indent encoder is pure Python, so the C encoder writes one item a line."""
+    if not isinstance(value, dict) or not value:
+        return json.dumps(value)
+    return "{\n    " + json.dumps(value, separators=(",\n    ", ": "))[1:-1] + "\n  }"
 
 
 def render_json(report: RunReport) -> str:
-    """json.dumps(doc, indent=2) of the report, with its table written by `_json_rows`."""
+    """json.dumps(doc, indent=2) of the report, with its table written by `_json_rows`;
+    the text is joined once, from its pieces."""
     if report.payload is not None:
         doc = {"metadata": report.metadata, **report.payload}
     else:
         doc = {"metadata": report.metadata, "rows": report.table}
-    items = [f"  {encode_basestring_ascii(key)}: "
-             + (_json_rows(value) if value is report.table
-                else json.dumps(value, indent=2).replace("\n", "\n  "))
-             for key, value in doc.items()]
-    return "{\n" + ",\n".join(items) + "\n}\n"
+    pieces: list = []
+    for key, value in doc.items():
+        pieces.append(f",\n  {encode_basestring_ascii(key)}: ")
+        if value is report.table:
+            _json_rows(value, pieces)
+        else:
+            pieces.append(_json_flat(value))
+    pieces[0] = "{\n" + pieces[0][len(",\n"):]
+    pieces.append("\n}\n")
+    return "".join(pieces)
 
 
 def render_markdown(report: RunReport) -> str:
@@ -127,9 +173,10 @@ def render_markdown(report: RunReport) -> str:
     lines.append("")
     lines.append("| " + " | ".join(report.table) + " |")
     lines.append("|" + "|".join(" --- " for _ in report.table) + "|")
-    lines.extend("| " + " | ".join(map(_fmt, row)) + " |"
-                 for row in zip(*report.table.values()))
-    return "\n".join(lines) + "\n"
+    cells = [_cells(column, _text_encoder) for column in report.table.values()]
+    lines.extend(map("| {} |".format, map(" | ".join, zip(*cells))))
+    lines.append("")  # the text ends in a newline
+    return "\n".join(lines)
 
 
 _RENDERERS = {"csv": render_csv, "json": render_json, "md": render_markdown}
@@ -420,16 +467,15 @@ def cmd_analyze(args: argparse.Namespace) -> RunReport:
     n = photons.num_qubits
     records = run_analyzer(photons, config, shots=args.shots)
     _check_rows(len(records), _ANALYZE_ROW_BYTES, "analyze output")
-    dist = classification_distribution(records, n)
+    dist = classification_distribution(records, n)  # these two and `columns` share one decode
     conclusive = conclusive_probability(records)
     correct = dist.get(str(true_label), 0.0)
     conditional = correct / conclusive if conclusive > 0 else None
     meta = _base_metadata("analyze", settings)
     meta.update(state=display, photons=n, shots=args.shots)
     _echo_analyzer(meta, config)
-    fates, patterns, qd, classified = records.columns()
-    table = {"fates": fates, "pattern": patterns, "qd": qd,
-             "probability": records.probs.tolist(), "classified": classified}
+    table = dict(zip(("fates", "pattern", "qd", "probability", "classified"),
+                     records.columns()))
     payload = {
         "state": display,
         "conclusive_probability": conclusive,

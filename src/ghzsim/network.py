@@ -22,8 +22,8 @@ import numpy as np
 
 from ._ops import SQRT_HALF
 from .circuit import (_D2, PRUNE_TOL, AnalyzerConfig, BranchStack, HybridState, _clicked,
-                      _initial_stack, _pack, _photon_step, _qd_readouts, _records, _thin,
-                      _units, _with_spins)
+                      _initial_stack, _pack, _photon_step, _qd_readouts, _records, _sum_by_key,
+                      _thin, _units, _with_spins)
 from .states import GhzLabel, QubitRegister
 
 
@@ -124,7 +124,7 @@ def _swap_outcomes(state: NetworkState) -> list[SwapOutcome]:
         # a run with a failed click is aborted before the QD readout
         clicks = keys[:, None] // 5 ** np.arange(m, 0, -1) % 5 <= _D2
         keys = np.where(clicks.all(axis=1), keys, keys - keys % 5)
-    records = _records(keys, probs, m)
+    records = _records(*_sum_by_key(keys, probs), m)
     # a failed click scales a heralded run's probability, not its remote state
     order = np.argsort(heralded)
     remotes = iter(comps[row, :, pair][order] / np.sqrt(weights[row, pair][order])[:, None])

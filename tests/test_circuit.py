@@ -818,7 +818,7 @@ class TestValidation:
 
 
 class TestRecordArrays:
-    """`Records.decode` against the per-record rule of `oracles.reference_label`."""
+    """`Records.decoded` against the per-record rule of `oracles.reference_label`."""
 
     @staticmethod
     def config(kind: str) -> AnalyzerConfig:

@@ -7,6 +7,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ghzsim import circuit, cli
@@ -394,29 +395,11 @@ class TestAnalyzeRendering:
         report = cmd_analyze(args)  # the metadata and the summary values
         config = _analyzer_config(_settings(args), args)
         photons, _, _ = parse_state_spec(args.state)
-        n = photons.num_qubits
-        rows = []
-        for r in run_analyzer(photons, config, shots=args.shots):
-            label = reference_label(r, n)
-            rows.append({"fates": "/".join(f.value for f in r.fates),
-                         "pattern": r.pattern() if r.conclusive else "",
-                         "qd": "".join(r.qd_readout) if r.qd_readout else "",
-                         "probability": r.probability,
-                         "classified": "inconclusive" if label is None else str(label)})
+        rows = record_rows(run_analyzer(photons, config, shots=args.shots))
         if fmt == "json":
             return json.dumps({"metadata": report.metadata, **report.payload, "outcomes": rows},
                               indent=2) + "\n"
-        columns = list(rows[0])
-        cells = [[_fmt(row[c]) for c in columns] for row in rows]
-        if fmt == "csv":
-            lines = [f"# {k}={_fmt(v)}" for k, v in report.metadata.items()]
-            lines += [",".join(columns)] + [",".join(c) for c in cells]
-        else:
-            lines = [f"- {k}: {_fmt(v)}" for k, v in report.metadata.items()]
-            lines += ["", "| " + " | ".join(columns) + " |",
-                      "|" + "|".join(" --- " for _ in columns) + "|"]
-            lines += ["| " + " | ".join(c) + " |" for c in cells]
-        return "\n".join(lines) + "\n"
+        return text_from_rows(report.metadata, list(rows[0]), rows, fmt)
 
     @pytest.mark.parametrize("fmt", ["json", "csv", "md"])
     @pytest.mark.parametrize("argv", [
@@ -427,6 +410,10 @@ class TestAnalyzeRendering:
                      id="monte-carlo"),
         pytest.param(["analyze", "GHZ:01101", *FIG5, "--eta0", "0.9", "--omega", "1.5"],
                      id="eta0-0.9"),
+        # thousands of records, most of whose probabilities repeat another's
+        pytest.param(["analyze", "GHZ:0110100", *FIG5, "--eta0", "0.9", "--omega", "0"],
+                     id="n7-eta0-0.9"),
+        pytest.param(["analyze", "GHZ:0110", *FIG5, "--sigma", "0.6"], id="pulse"),
     ])
     def test_output_matches_text_built_from_records(self, argv, fmt, tmp_path):
         code, text = run_cli(argv + ["--format", fmt], tmp_path)
@@ -452,6 +439,19 @@ def test_oversized_sweep_exits_2_before_its_grid(argv, tmp_path, capsys):
     assert text == ""
     assert peak < 64 * 2 ** 20
     assert f"over the {2 ** 30}-byte budget" in capsys.readouterr().err
+
+
+def record_rows(records) -> list[dict]:
+    """analyze's outcome rows, built one record at a time from its `OutcomeRecord` fields."""
+    rows = []
+    for r in records:
+        label = reference_label(r, len(r.fates))
+        rows.append({"fates": "/".join(f.value for f in r.fates),
+                     "pattern": r.pattern() if r.conclusive else "",
+                     "qd": "".join(r.qd_readout) if r.qd_readout else "",
+                     "probability": r.probability,
+                     "classified": "inconclusive" if label is None else str(label)})
+    return rows
 
 
 def text_from_rows(metadata, columns, rows, fmt):
@@ -503,6 +503,32 @@ def test_table_output_matches_text_built_from_dict_rows(argv, columns, fmt, tmp_
     code, out = run_cli(argv + ["--format", fmt], tmp_path)
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "md"])
+def test_columns_of_distinct_values_render_as_their_rows(fmt):
+    # each distinct probability is written once and copied to its rows by index;
+    # 0.0 and -0.0 are equal floats that print apart, so they must stay two values
+    special = [0.0, -0.0, math.nan, math.inf, 5e-324, 0.25]
+    probs = np.array(special * 3 + [0.25, -0.0, 0.0])
+    digits = np.random.default_rng(5).integers(0, 5, (len(probs), 4)).astype(np.int8)
+    digits[:4, :3] = 0  # records that click D1 every time: one fates key, pattern "HHH"
+    records = circuit.Records(digits, probs)
+    table = dict(zip(("fates", "pattern", "qd", "probability", "classified"),
+                     records.columns()))
+    shots = list(range(len(probs)))
+    table["shot"] = shots  # a plain column passes through unchanged
+    metadata = {"command": "analyze", "zero": -0.0, "tiny": 5e-324, "photons": 3}
+    payload = {"state": "GHZ:000", "conditional_fidelity": None, "classification": {},
+               "outcomes": table}
+    rows = [{**row, "shot": shot} for row, shot in zip(record_rows(records), shots)]
+    assert [repr(row["probability"]) for row in rows] == list(map(repr, probs.tolist()))
+    text = cli._RENDERERS[fmt](cli.RunReport(metadata, table, payload))
+    if fmt == "json":
+        assert text == json.dumps({"metadata": metadata, **payload, "outcomes": rows},
+                                  indent=2) + "\n"
+    else:
+        assert text == text_from_rows(metadata, list(table), rows, fmt)
 
 
 def test_traced_bindings_resolve():
