@@ -136,8 +136,13 @@ class AnalyzerConfig:
             return ReflectionPair.ideal(), ReflectionPair.ideal()
         if omega is None:
             omega = self.omega if self.omega is not None else self.qnd1.omega_c
-        return (reflection_coeffs(self.qnd1, omega),
-                reflection_coeffs(self.qnd2, omega))
+        pair = reflection_coeffs(self.qnd1, omega)
+        return pair, pair if self.qnd2 == self.qnd1 else reflection_coeffs(self.qnd2, omega)
+
+    @cached_property
+    def units(self):
+        """`_units` of both detectors at the config's own frequency, worked out once."""
+        return _units(*self.reflection_pairs())
 
 
 @dataclass(eq=False)
@@ -740,7 +745,7 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
     if config.spectrum is not None and config.mode == "realistic":
         raise ValueError("final_branches needs a monochromatic configuration")
     order = _feeding_order(photons, config, order)
-    units, _ = _units(*config.reflection_pairs())
+    units, _ = config.units
     vec = _with_spins(photons.amplitudes)
     return [branch for stack in _evolve(vec, units, order)
             for branch in stack.views()]
@@ -758,7 +763,7 @@ def _shot_groups(config: AnalyzerConfig, pulse: bool, n: int, shots: int):
     group draws only uniforms, so its size keeps the stream."""
     rng = np.random.default_rng(config.seed)
     size = _SHOT_BLOCK // 16
-    units, ratios = (None, None) if pulse else _units(*config.reflection_pairs())
+    units, ratios = (None, None) if pulse else config.units
     for start in range(0, shots, size):
         rows = min(size, shots - start)
         if pulse:
@@ -785,7 +790,7 @@ def _run(photons: QubitRegister, config: AnalyzerConfig, order, shots: int):
             config.spectrum.omega_c + config.spectrum.sigma * x))
         groups = [(units, _moments(ratios, w / np.sqrt(np.pi), n), None)]
     else:  # one frequency: the records weigh as they are
-        groups = [(_units(*config.reflection_pairs())[0], None, None)]
+        groups = [(config.units[0], None, None)]
     # the records summed so far, then those booked since: summed after each step of
     # an exhaustive run, to bound its memory, and once per shot group of a sampled one
     booked = [(np.empty(0, np.int64), np.empty(0))]

@@ -10,7 +10,8 @@ Subcommands
 Outputs are deterministic for a fixed configuration and seed: CSV carries the
 resolved configuration as '#' comment lines above a single header row, JSON
 embeds it as a "metadata" object.
-Exit codes: 0 success, 2 bad arguments or an oversized run, 3 non-convergence.
+Exit codes: 0 success, 2 bad arguments, an oversized run or an --out path that
+cannot be written, 3 non-convergence.
 """
 from __future__ import annotations
 
@@ -31,14 +32,15 @@ from types import MappingProxyType
 import numpy as np
 
 from . import __version__
-from .circuit import (INCONCLUSIVE, MAX_STEP_BYTES, AnalyzerConfig, check_fits,
+from .circuit import (MAX_STEP_BYTES, AnalyzerConfig, check_fits,
                       classification_distribution, conclusive_probability, run_analyzer)
 from .circuit import classify  # noqa: F401 - the traced benchmark wraps it in this module
 from .network import bell_swap, feed_photon, ghz_swap, make_network
 from .scattering import (CavityQDParams, PulseSpectrum,
                          QuadratureConvergenceError, average_efficiency,
                          fidelity_fn, reflection_coeffs)
-from .states import GhzLabel, bell_label, bell_name, bell_state, fidelity, ghz_state
+from .states import GhzLabel, bell_label, bell_state, ghz_state
+from .states import fidelity  # noqa: F401 - the traced benchmark wraps it in this module
 
 STATE_GRAMMAR = ("state spec grammar: 'GHZ:<bitstring>' (photon count inferred from "
                  "length, e.g. GHZ:010) or 'BELL:{phi+,phi-,psi+,psi-}'")
@@ -498,20 +500,8 @@ def cmd_swap(args: argparse.Namespace) -> RunReport:
     meta = _base_metadata("swap", settings)
     meta.update(pairs=args.pairs)
     _echo_analyzer(meta, config)
-    table = {c: [] for c in ("clicks", "qd", "probability", "predicted", "fidelity")}
-    for o in outcomes:
-        if o.predicted is not None:
-            target = ghz_state(args.pairs, o.predicted)
-            fid = fidelity(target, o.remote_state)
-            predicted = (bell_name(o.predicted) if args.pairs == 2 else str(o.predicted))
-        else:
-            fid = ""
-            predicted = INCONCLUSIVE
-        for column, value in zip(table.values(), (
-                "/".join(c.value for c in o.clicks),
-                "".join(o.qd_readout) if o.qd_readout else "",
-                o.probability, predicted, fid)):
-            column.append(value)
+    table = dict(zip(("clicks", "qd", "probability", "predicted", "fidelity"),
+                     outcomes.columns()))
     payload = {"pairs": args.pairs, "outcomes": table}
     return RunReport(meta, table, payload=payload)
 
@@ -618,8 +608,12 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return 0

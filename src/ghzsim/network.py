@@ -16,15 +16,17 @@ state.
 """
 from __future__ import annotations
 
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._ops import SQRT_HALF
-from .circuit import (_D2, PRUNE_TOL, AnalyzerConfig, BranchStack, HybridState, _clicked,
-                      _initial_stack, _pack, _photon_step, _qd_readouts, _records, _sum_by_key,
-                      _thin, _units, _with_spins)
-from .states import GhzLabel, QubitRegister
+from ._ops import SQRT_HALF, norm2
+from .circuit import (_D2, INCONCLUSIVE, PRUNE_TOL, AnalyzerConfig, BranchStack, HybridState,
+                      Records, _clicked, _initial_stack, _pack, _photon_step, _qd_readouts,
+                      _records, _sum_by_key, _thin, _with_spins)
+from .states import GhzLabel, QubitRegister, bell_name, ghz_state
 
 
 @dataclass(eq=False)
@@ -82,14 +84,14 @@ def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> Net
     if config.enumeration != "exhaustive":
         raise ValueError("network runs enumerate every branch; use exhaustive enumeration")
     lost = list(state.lost)
-    stack = _photon_step(state.stack, photon, _units(*config.reflection_pairs())[0], lost)
+    stack = _photon_step(state.stack, photon, config.units[0], lost)
     fed = tuple(config.eta0 if i == photon else eta0 for i, eta0 in enumerate(state.fed))
     return NetworkState(state.num_pairs, stack, lost, fed)
 
 
 @dataclass(frozen=True)
 class SwapOutcome:
-    """One heralded swap result.
+    """One swap result: a view of one row of `SwapOutcomes`.
 
     clicks covers every hub photon, in photon order. For conclusive outcomes
     the remote spins collapse onto `remote_state` and `predicted` is the
@@ -104,7 +106,61 @@ class SwapOutcome:
     predicted: GhzLabel | None
 
 
-def _swap_outcomes(state: NetworkState) -> list[SwapOutcome]:
+@dataclass(frozen=True, eq=False)
+class SwapOutcomes(Sequence):
+    """The swap's outcomes as arrays; its items are `SwapOutcome` views.
+
+    records : the lost, inconclusive and heralded runs as the analyzer's records
+    remote  : (H, 2^m) normalized remote state of each heralded record (QD pair
+              read out), in record order
+    """
+
+    records: Records
+    remote: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __getitem__(self, i):
+        i = range(len(self))[operator.index(i)]  # IndexError past either end
+        r, label = self.records[i], int(self.records.decoded[1][i])
+        m = len(r.fates)
+        remote = (None if r.qd_readout is None else
+                  QubitRegister(m, self.remote[np.count_nonzero(self.records.digits[:i, m])]))
+        return SwapOutcome(r.fates, r.qd_readout, r.probability, remote,
+                           None if label < 0 else GhzLabel.from_string(format(label, f"0{m}b")))
+
+    def columns(self) -> tuple:
+        """Clicks, QD pair, probability, predicted state and fidelity of the outcomes, each
+        as (values, the index of every outcome's value among them), as `Records.columns`.
+
+        The predicted state is a Bell name at m = 2, else the GHZ label, and
+        INCONCLUSIVE where none is inferred; the fidelity of the remote state
+        to it is "" there. The target has just two amplitudes, 1/sqrt2 at idx
+        and +-1/sqrt2 at idx ^ (2^m - 1), so its inner products with the
+        remote states take two columns of them; the last steps run on Python
+        floats, as `states.fidelity` does, so that every digit stays the same.
+        """
+        records = self.records
+        m = records.digits.shape[1] - 1
+        clicks, _, qd, probability, (names, of_label) = records.columns()
+        if m == 2:
+            names = [v if v == INCONCLUSIVE else bell_name(GhzLabel.from_string(v))
+                     for v in names]
+        label = records.decoded[1]
+        rows = np.flatnonzero(label >= 0)  # each of them heralded
+        b, labels = self.remote[label[records.digits[:, m] > 0] >= 0], label[rows]
+        at, idx, sign = np.arange(len(b)), labels & -2, 1.0 - 2.0 * (labels & 1)
+        inner = SQRT_HALF * b[at, idx] + sign * SQRT_HALF * b[at, idx ^ (2 ** m - 1)]
+        na = norm2(ghz_state(m, [0] * m).amplitudes)
+        fids = [abs(z) ** 2 / (na * nb)
+                for z, nb in zip(inner.tolist(), np.vecdot(b, b).real.tolist())]
+        of_fid = np.zeros(len(records), np.intp)
+        of_fid[rows] = np.arange(1, len(rows) + 1)
+        return clicks, qd, probability, (names, of_label), (["", *fids], of_fid)
+
+
+def _swap_outcomes(state: NetworkState) -> SwapOutcomes:
     """Every lost, inconclusive and heralded run as the analyzer's records, in their order."""
     m = state.num_pairs
     if None in state.fed:
@@ -114,7 +170,6 @@ def _swap_outcomes(state: NetworkState) -> list[SwapOutcome]:
     clicked = _clicked(stack.fates)
     comps, weights = _qd_readouts(stack.amps[clicked])
     row, pair = np.nonzero(weights > PRUNE_TOL)  # comps: the remote spins
-    # the heralded keys are distinct, so their argsort is the records' order of them
     heralded = _pack(stack.fates[clicked])[row] + 1 + pair
     aborted = [*state.lost, (stack.fates[~clicked], stack.weight[~clicked])]
     keys = np.concatenate([*(_pack(fates) for fates, _ in aborted), heralded])
@@ -124,24 +179,24 @@ def _swap_outcomes(state: NetworkState) -> list[SwapOutcome]:
         # a run with a failed click is aborted before the QD readout
         clicks = keys[:, None] // 5 ** np.arange(m, 0, -1) % 5 <= _D2
         keys = np.where(clicks.all(axis=1), keys, keys - keys % 5)
-    records = _records(*_sum_by_key(keys, probs), m)
-    # a failed click scales a heralded run's probability, not its remote state
+    keys, sums = _sum_by_key(keys, probs)
+    # the heralded keys are distinct, so their argsort is the records' order of them;
+    # a key thinned to no mass (by a click that always fails) has no record
     order = np.argsort(heralded)
-    remotes = iter(comps[row, :, pair][order] / np.sqrt(weights[row, pair][order])[:, None])
-    return [SwapOutcome(r.fates, r.qd_readout, r.probability,
-                        None if r.qd_readout is None else QubitRegister(m, next(remotes)),
-                        label)
-            for r, label in zip(records, records.labels())]
+    order = order[sums[np.searchsorted(keys, heralded[order])] > 0.0]
+    # a failed click scales a heralded run's probability, not its remote state
+    remote = comps[row, :, pair][order] / np.sqrt(weights[row, pair][order])[:, None]
+    return SwapOutcomes(_records(keys, sums, m), remote)
 
 
-def bell_swap(state: NetworkState) -> list[SwapOutcome]:
+def bell_swap(state: NetworkState) -> SwapOutcomes:
     """Measure the QDs after two fed photons; remote pair collapses to a Bell state."""
     if state.num_pairs != 2:
         raise ValueError("bell_swap needs a two-pair network")
     return _swap_outcomes(state)
 
 
-def ghz_swap(state: NetworkState) -> list[SwapOutcome]:
+def ghz_swap(state: NetworkState) -> SwapOutcomes:
     """Measure the QDs after three fed photons; remote triple collapses to a GHZ state."""
     if state.num_pairs != 3:
         raise ValueError("ghz_swap needs a three-pair network")

@@ -484,6 +484,8 @@ SWAP_COLUMNS = ["clicks", "qd", "probability", "predicted", "fidelity"]
     pytest.param(["swap", "--pairs", "2"], SWAP_COLUMNS, id="swap-2"),
     pytest.param(["swap", "--pairs", "3", "--mode", "realistic", "--eta0", "0.9"],
                  SWAP_COLUMNS, id="swap-3-eta0-0.9"),
+    pytest.param(["swap", "--pairs", "2", "--mode", "realistic", "--omega", "1.7",
+                  "--eta0", "0.5"], SWAP_COLUMNS, id="swap-2-detuned-eta0-0.5"),
 ])
 def test_table_output_matches_text_built_from_dict_rows(argv, columns, fmt, tmp_path):
     # the JSON document is the reference: json.dumps must reproduce it, and
@@ -700,6 +702,16 @@ class TestConfigHandling:
         assert json.loads(seeded)["metadata"]["seed"] == 3
         _, default = run_cli(args, tmp_path, "b.json")
         assert json.loads(default)["metadata"]["seed"] == 0
+
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unwritable_out_path_exits_2(self, where, tmp_path, capsys):
+        out = tmp_path / "no-such-dir" / "x.json" if where == "missing-directory" else tmp_path
+        assert main(["analyze", "GHZ:01", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {out}: ")
+        assert captured.err.count("\n") == 1  # one line, no traceback
+        assert not (tmp_path / "no-such-dir").exists()
 
     def test_unknown_command_exits_2(self):
         assert main(["frobnicate"]) == 2

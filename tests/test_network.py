@@ -1,8 +1,10 @@
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from ghzsim import circuit
 from ghzsim.circuit import AnalyzerConfig, PhotonFate, run_analyzer
 from ghzsim.network import bell_swap, feed_photon, ghz_swap, make_network
 from ghzsim.scattering import CavityQDParams, PulseSpectrum, error_prob, eta1
@@ -276,3 +278,84 @@ class TestSwapMatchesAnalyzer:
         assert any(k[1] is None for k in swap) == (realistic or eta0 < 1.0)
         for key in set(swap) | set(analyzer):
             assert swap.get(key, 0.0) == pytest.approx(analyzer.get(key, 0.0), abs=1e-12), key
+
+
+def swap(pairs, config):
+    state = make_network(pairs)
+    for photon in range(pairs):
+        state = feed_photon(state, photon, config)
+    return bell_swap(state) if pairs == 2 else ghz_swap(state)
+
+
+def expand(column):
+    """A (values, index) column as one value per row."""
+    values, index = column
+    return [values[k] for k in index.tolist()]
+
+
+SWAP_CONFIGS = {
+    "ideal": dict(mode="ideal"),
+    "fig5": dict(mode="realistic", qnd1=FIG5, omega=0.0),
+    "fig5-detuned": dict(mode="realistic", qnd1=FIG5, omega=1.7),
+}
+
+
+class TestSwapOutcomes:
+    """`bell_swap` and `ghz_swap` return arrays whose items are `SwapOutcome` views;
+    their columns hold the same values as the views, fidelity included."""
+
+    @pytest.mark.parametrize("eta0", [1.0, 0.9, 0.5, 0.0])
+    @pytest.mark.parametrize("kind", list(SWAP_CONFIGS))
+    @pytest.mark.parametrize("pairs", [2, 3])
+    def test_columns_equal_the_views(self, pairs, kind, eta0):
+        outcomes = swap(pairs, AnalyzerConfig(eta0=eta0, **SWAP_CONFIGS[kind]))
+        clicks, qd, probability, predicted, fid = map(expand, outcomes.columns())
+        assert clicks == ["/".join(c.value for c in o.clicks) for o in outcomes]
+        assert qd == ["".join(o.qd_readout or ()) for o in outcomes]
+        assert probability == [o.probability for o in outcomes]
+        name = bell_name if pairs == 2 else str
+        assert predicted == ["inconclusive" if o.predicted is None else name(o.predicted)
+                             for o in outcomes]
+        # the closed form gives the same float as states.fidelity, to the last bit
+        assert fid == ["" if o.predicted is None
+                       else fidelity(ghz_state(pairs, o.predicted), o.remote_state)
+                       for o in outcomes]
+        assert (fid.count("") == len(fid)) == (eta0 == 0.0)
+
+    @pytest.mark.parametrize("pairs", [2, 3])
+    def test_outcomes_are_a_sequence_of_views(self, pairs):
+        outcomes = swap(pairs, AnalyzerConfig(eta0=0.9, **SWAP_CONFIGS["fig5-detuned"]))
+        views = list(outcomes)
+        assert len(views) == len(outcomes) == len(outcomes.records) > 0
+
+        def fields(o):
+            remote = None if o.remote_state is None else o.remote_state.amplitudes.tolist()
+            return o.clicks, o.qd_readout, o.probability, o.predicted, remote
+
+        for i in (0, -1, len(views) - 1, -len(views)):
+            assert fields(outcomes[i]) == fields(views[i])
+        for i in (len(views), -len(views) - 1):
+            with pytest.raises(IndexError):
+                outcomes[i]
+        assert [(o.clicks, o.qd_readout, o.probability) for o in views] \
+            == [(r.fates, r.qd_readout, r.probability) for r in outcomes.records]
+        heralded = [o.remote_state.amplitudes for o in views if o.remote_state is not None]
+        assert heralded and len(heralded) == len(outcomes.remote)
+        np.testing.assert_array_equal(heralded, outcomes.remote)
+
+
+def test_matched_units_scatter_once_per_config(monkeypatch):
+    # one reflection evaluation serves both detectors and every photon fed with the config
+    calls = []
+    real = circuit.reflection_coeffs
+    monkeypatch.setattr(circuit, "reflection_coeffs",
+                        lambda params, omega: calls.append(params) or real(params, omega))
+    config = AnalyzerConfig(mode="realistic", qnd1=FIG5, omega=1.7)
+    swap(3, config)
+    swap(2, config)
+    assert calls == [FIG5]
+    other = replace(FIG5, g=31.0)
+    one, two = AnalyzerConfig(mode="realistic", qnd1=FIG5, qnd2=other,
+                              omega=1.7).reflection_pairs()
+    assert calls == [FIG5, FIG5, other]
+    assert (one, two) == (real(FIG5, 1.7), real(other, 1.7))
