@@ -5,8 +5,7 @@ __version__ = "0.1.0"
 from .circuit import (AnalyzerConfig, HybridState, OutcomeRecord, PhotonFate,
                       classification_distribution, classify, conclusive_probability,
                       final_branches, run_analyzer)
-from .network import (NetworkState, SwapOutcome, bell_swap, feed_photon,
-                      ghz_swap, make_network)
+from .network import NetworkState, bell_swap, feed_photon, ghz_swap, make_network
 from .scattering import (CavityQDParams, PulseSpectrum, QuadratureConvergenceError,
                          ReflectionPair, average_efficiency, cooperativity,
                          error_prob, eta1, fidelity_fn, loss_prob,
@@ -17,9 +16,9 @@ __all__ = [
     "AnalyzerConfig", "CavityQDParams", "GhzLabel", "HybridState",
     "NetworkState", "OutcomeRecord", "PhotonFate", "PulseSpectrum",
     "QuadratureConvergenceError", "QubitRegister", "ReflectionPair",
-    "SwapOutcome", "average_efficiency", "bell_state", "bell_swap",
-    "classification_distribution", "classify", "conclusive_probability", "cooperativity",
-    "error_prob", "eta1", "feed_photon", "fidelity_fn", "final_branches", "ghz_state",
-    "ghz_swap", "loss_prob", "make_network", "reflection_coeffs", "run_analyzer",
-    "scattering_time", "spectral_density", "stabilizer_syndrome",
+    "average_efficiency", "bell_state", "bell_swap", "classification_distribution",
+    "classify", "conclusive_probability", "cooperativity", "error_prob", "eta1",
+    "feed_photon", "fidelity_fn", "final_branches", "ghz_state", "ghz_swap", "loss_prob",
+    "make_network", "reflection_coeffs", "run_analyzer", "scattering_time",
+    "spectral_density", "stabilizer_syndrome",
 ]

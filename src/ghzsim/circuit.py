@@ -23,7 +23,7 @@ extra leading qubits; the analyzer is that layout with no spins. Exhaustive
 runs keep every child row. In a Monte-Carlo run a row is one distinct
 history: each shot points to its row, draws one child of that row per
 photon, and the shots that drew the same child share one child row.
-`HybridState` is a per-branch view, built only for callers that ask for
+`HybridState` is a view of one row, built only for callers that ask for
 branches (`final_branches`, `NetworkState.branches`).
 
 Pulse averages: with matched detector units, frequencies scatter a row alike
@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 
@@ -145,37 +145,20 @@ class AnalyzerConfig:
         return _units(*self.reflection_pairs())
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class HybridState:
     """One live, unnormalized branch: a view of one row of a `BranchStack`.
 
-    `vec` holds only the qubits still in play: spectator spins, the photons
-    still IN_CIRCUIT (in photon order), then QD1 and QD2. `fates` has one
-    entry per photon; `pols[k]` is the polarization bit (H = 0, V = 1) that
-    detected photon k was left in. `amps` rebuilds the full layout with every
-    detected photon collapsed on that bit, so summing branch `amps`
-    reconstructs the state with the detectors read nondestructively.
+    `amps` is the row: spectator spins, the photons still IN_CIRCUIT (in
+    photon order), then QD1 and QD2. `fates` has one entry per photon;
+    `pols[k]` is the polarization bit (H = 0, V = 1) that detected photon k
+    was left in, and `weight` is the row's squared norm.
     """
 
     fates: tuple[PhotonFate, ...]
-    vec: np.ndarray
+    amps: np.ndarray
     pols: tuple[int, ...]
-    weight: float = field(init=False)
-
-    def __post_init__(self):
-        self.weight = norm2(self.vec)
-
-    @property
-    def amps(self) -> np.ndarray:
-        """Full-layout vector: spins, every photon, QD1, QD2."""
-        t = self.vec
-        n = len(self.fates)
-        for k in reversed(range(n)):  # photons after k are already in place
-            if self.fates[k] is not PhotonFate.IN_CIRCUIT:
-                t = t.reshape(-1, 1, 4 * 2 ** (n - 1 - k))
-                zero = np.zeros_like(t)
-                t = np.concatenate((zero, t) if self.pols[k] else (t, zero), axis=1)
-        return t.reshape(-1)
+    weight: float
 
 
 @dataclass(eq=False)
@@ -205,9 +188,9 @@ class BranchStack:
                            self.weight[rows])
 
     def views(self) -> list[HybridState]:
-        return [HybridState(tuple(_FATES[c] for c in fates), vec, tuple(pols))
-                for vec, fates, pols in zip(self.amps, self.fates.tolist(),
-                                            self.pols.tolist())]
+        return [HybridState(tuple(_FATES[c] for c in fates), amps, tuple(pols), weight)
+                for amps, fates, pols, weight in zip(self.amps, self.fates.tolist(),
+                                                     self.pols.tolist(), self.weight.tolist())]
 
 
 class _OverBudget(ValueError):
@@ -454,12 +437,6 @@ class OutcomeRecord:
     def conclusive(self) -> bool:
         return all(f in CONCLUSIVE_FATES for f in self.fates)
 
-    def pattern(self) -> str:
-        """H/V string of the detector pattern; only defined for conclusive records."""
-        if not self.conclusive:
-            raise ValueError("pattern is only defined for conclusive records")
-        return "".join("H" if f is PhotonFate.D1 else "V" for f in self.fates)
-
 
 QD_PAIRS = (("+", "+"), ("+", "-"), ("-", "+"), ("-", "-"))
 _QD_PAIR_KETS = np.array([np.kron(k1, k2)
@@ -524,9 +501,6 @@ class Records(Sequence):
 
     def __iter__(self):
         return map(_record, self.digits.tolist(), self.probs.tolist())
-
-    def __eq__(self, other) -> bool:
-        return list(self) == list(other) if isinstance(other, (Records, list)) else NotImplemented
 
     @cached_property
     def decoded(self) -> tuple[np.ndarray, np.ndarray]:
@@ -735,12 +709,12 @@ def final_branches(photons: QubitRegister, config: AnalyzerConfig,
                    order=None) -> list[HybridState]:
     """Run every photon through the analyzer, stopping before the QD readout.
 
-    Summing the returned branch vectors (`amps`) reconstructs the joint
-    photon/QD state with the destructive detectors treated as nondestructive,
-    which is what conditional post-measurement checks need. The branches are
-    those of perfect destructive detectors, whatever `config.eta0`: a failed
-    click changes no vector, only the records (`_thin`). Monochromatic
-    configs only.
+    Returns one `HybridState` view per final row. Every photon has been
+    detected, so a row's `amps` hold QD1 and QD2 only; its `fates` and `pols`
+    say where each photon went and the polarization it was left in. The
+    branches are those of perfect destructive detectors, whatever
+    `config.eta0`: a failed click changes no vector, only the records
+    (`_thin`). Monochromatic configs only.
     """
     if config.spectrum is not None and config.mode == "realistic":
         raise ValueError("final_branches needs a monochromatic configuration")
@@ -838,6 +812,8 @@ def run_analyzer(photons: QubitRegister, config: AnalyzerConfig,
     order = _feeding_order(photons, config, order)
     if config.enumeration == "monte-carlo" and shots < 1:
         raise ValueError("shots must be >= 1")
+    if config.enumeration == "monte-carlo" and config.seed < 0:
+        raise ValueError(f"seed must be >= 0, got {config.seed}")
     return _run(photons, config, order, shots)
 
 

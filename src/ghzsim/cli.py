@@ -409,6 +409,8 @@ def cmd_table1(args: argparse.Namespace) -> RunReport:
     nodes = settings.get("analyzer", "quad_nodes", 64, cast=int)
     n_list = (_parse_list(settings.get("table", "n", "2,3,4,5,6,7,8,20", cast=str), "n", int)
               if args.n_list is None else _parse_list(args.n_list, "--n-list", int))
+    if not n_list:
+        raise UsageError("table1 needs at least one photon count in its n list")
     t2_text = (settings.get("table", "t2", "10.9,2000", cast=str)
                if args.t2 is None else args.t2)
     t2_list = _parse_list(t2_text, "--t2", float)

@@ -9,15 +9,10 @@ record and the final QD readout projects the remote spins onto a Bell state
 Branch layout for m pairs: the m remote spins, the hub photons not yet
 detected, then QD1 and QD2, one branch per row of a `circuit.BranchStack`; a
 detected photon leaves the rows. Branch amplitudes stay unnormalized.
-`NetworkState.branches` builds per-branch views whose `amps` rebuild the full
-layout (spins, all m photons, QDs) with detected photons collapsed on their
-recorded polarization, so summing it over branches gives the unmeasured
-state.
+`NetworkState.branches` gives a `circuit.HybridState` view of each row.
 """
 from __future__ import annotations
 
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +21,7 @@ from ._ops import SQRT_HALF, norm2
 from .circuit import (_D2, INCONCLUSIVE, PRUNE_TOL, AnalyzerConfig, BranchStack, HybridState,
                       Records, _clicked, _initial_stack, _pack, _photon_step, _qd_readouts,
                       _records, _sum_by_key, _thin, _with_spins)
-from .states import GhzLabel, QubitRegister, bell_name, ghz_state
+from .states import GhzLabel, bell_name, ghz_state
 
 
 @dataclass(eq=False)
@@ -38,7 +33,8 @@ class NetworkState:
     arrays of every run that ended in loss or pruning (`circuit._photon_step`).
     The rows are those of destructive detectors that always click; `fed`
     holds the detector efficiency eta0 each photon was fed with, or None for
-    a photon not yet fed, and the swap thins its records by it.
+    a photon not yet fed, and the swap thins its records by it. `branches`
+    views each row as a `circuit.HybridState`.
     """
 
     num_pairs: int
@@ -49,16 +45,6 @@ class NetworkState:
     @property
     def branches(self) -> list[HybridState]:
         return self.stack.views()
-
-    def assembled(self) -> np.ndarray:
-        """Sum of live branch vectors: the state before any projection."""
-        branches = self.branches
-        if not branches:
-            raise ValueError("no live branches to assemble")
-        out = branches[0].amps.copy()
-        for br in branches[1:]:
-            out += br.amps
-        return out
 
 
 def make_network(num_pairs: int) -> NetworkState:
@@ -89,30 +75,15 @@ def feed_photon(state: NetworkState, photon: int, config: AnalyzerConfig) -> Net
     return NetworkState(state.num_pairs, stack, lost, fed)
 
 
-@dataclass(frozen=True)
-class SwapOutcome:
-    """One swap result: a view of one row of `SwapOutcomes`.
-
-    clicks covers every hub photon, in photon order. For conclusive outcomes
-    the remote spins collapse onto `remote_state` and `predicted` is the
-    label inferred from the click record alone; inconclusive branches are
-    aborted with no QD measurement attached.
-    """
-
-    clicks: tuple
-    qd_readout: tuple[str, str] | None
-    probability: float
-    remote_state: QubitRegister | None
-    predicted: GhzLabel | None
-
-
 @dataclass(frozen=True, eq=False)
-class SwapOutcomes(Sequence):
-    """The swap's outcomes as arrays; its items are `SwapOutcome` views.
+class SwapOutcomes:
+    """The swap's outcomes as arrays.
 
     records : the lost, inconclusive and heralded runs as the analyzer's records
     remote  : (H, 2^m) normalized remote state of each heralded record (QD pair
-              read out), in record order
+              read out), in record order. A heralded run's remote spins
+              collapse onto it; an inconclusive run is aborted with no QD
+              measurement attached.
     """
 
     records: Records
@@ -120,15 +91,6 @@ class SwapOutcomes(Sequence):
 
     def __len__(self) -> int:
         return len(self.records)
-
-    def __getitem__(self, i):
-        i = range(len(self))[operator.index(i)]  # IndexError past either end
-        r, label = self.records[i], int(self.records.decoded[1][i])
-        m = len(r.fates)
-        remote = (None if r.qd_readout is None else
-                  QubitRegister(m, self.remote[np.count_nonzero(self.records.digits[:i, m])]))
-        return SwapOutcome(r.fates, r.qd_readout, r.probability, remote,
-                           None if label < 0 else GhzLabel.from_string(format(label, f"0{m}b")))
 
     def columns(self) -> tuple:
         """Clicks, QD pair, probability, predicted state and fidelity of the outcomes, each

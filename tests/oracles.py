@@ -6,6 +6,8 @@ it never shares a code path with the implementation it checks.
 """
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from ghzsim.circuit import PhotonFate
@@ -179,6 +181,63 @@ def expected_phi3() -> np.ndarray:
             out += s * kron_chain(ghz_vector((i, j, 1)), ghz_vector((i, j, 0)),
                                   KET_MINUS, KET_PLUS)
     return out
+
+
+# --- full-layout views of the engine's compact rows and records ---------------
+
+def full_layout(branch) -> np.ndarray:
+    """A branch view's row in the full layout: spins, every photon, QD1, QD2.
+
+    The row holds only the photons still IN_CIRCUIT; each detected photon k is
+    put back as the literal ket of the polarization it was left in, on its own
+    axis, so summing the branches gives the state with the detectors read
+    nondestructively.
+    """
+    t = branch.amps.reshape([2] * (branch.amps.size.bit_length() - 1))
+    spins = t.ndim - 2 - branch.fates.count(PhotonFate.IN_CIRCUIT)
+    for k, fate in enumerate(branch.fates):  # photons before k are on their axes
+        if fate is not PhotonFate.IN_CIRCUIT:
+            ket = (KET_H, KET_V)[branch.pols[k]]
+            t = np.moveaxis(np.multiply.outer(t, ket), -1, spins + k)
+    return t.reshape(-1)
+
+
+def assembled(state) -> np.ndarray:
+    """Sum of a network's live branches in the full layout: the state before any projection."""
+    branches = state.branches
+    if not branches:
+        raise ValueError("no live branches to assemble")
+    return sum(map(full_layout, branches[1:]), full_layout(branches[0]))
+
+
+class SwapView(NamedTuple):
+    """One swap outcome. For a heralded one the remote spins collapse onto
+    `remote_state` and `predicted` is the label the click record infers;
+    an inconclusive run is aborted with no QD measurement attached."""
+
+    clicks: tuple
+    qd_readout: tuple[str, str] | None
+    probability: float
+    remote_state: QubitRegister | None
+    predicted: GhzLabel | None
+
+
+def swap_views(outcomes) -> list[SwapView]:
+    """The outcomes of `bell_swap`/`ghz_swap` one per record, each heralded record with
+    the next row of `outcomes.remote`."""
+    records = outcomes.records
+    m = records.digits.shape[1] - 1
+    remote = iter(outcomes.remote)
+    return [SwapView(r.fates, r.qd_readout, r.probability,
+                     None if r.qd_readout is None else QubitRegister(m, next(remote)), label)
+            for r, label in zip(records, records.labels())]
+
+
+def pattern(record) -> str:
+    """H/V string of a conclusive record's detector pattern."""
+    if not record.conclusive:
+        raise ValueError("pattern is only defined for conclusive records")
+    return "".join("H" if f is PhotonFate.D1 else "V" for f in record.fates)
 
 
 def reference_label(record, n: int):

@@ -12,11 +12,12 @@ from ghzsim.circuit import (CONCLUSIVE_FATES, AnalyzerConfig, OutcomeRecord,
 from ghzsim import circuit
 from ghzsim.circuit import final_branches as circuit_final_branches
 from ghzsim.circuit import run_analyzer
+from ghzsim.network import feed_photon, make_network
 from ghzsim.scattering import (CavityQDParams, PulseSpectrum, ReflectionPair,
                                _hermite_nodes, average_efficiency, eta1, reflection_coeffs)
 from ghzsim.states import GhzLabel, QubitRegister, bell_label, bell_state, ghz_state
 from oracles import (H, I2, KET_H, KET_MINUS, KET_PLUS, KET_V, SQ2, X, Z, basis_state,
-                     kron_chain, op_on, reference_label)
+                     full_layout, kron_chain, op_on, pattern, reference_label)
 
 IDEAL = AnalyzerConfig(mode="ideal")
 STANDARD = CavityQDParams.resonant(g=30.0, kappa=90.0, kappa_s=30.0, gamma=0.3)
@@ -92,12 +93,12 @@ class TestQndScatter:
             assert lost == 0.0  # no loss in the ideal case
             assert [c.fates for c in children] == [(PhotonFate.D1,), (PhotonFate.D2,)]
             expected = SQ2 * kron_chain(*flipped_qds)  # the photon has left the vector
-            np.testing.assert_allclose(children[0].vec, expected, atol=1e-15)
-            np.testing.assert_allclose(children[1].vec, d2_sign * expected, atol=1e-15)
+            np.testing.assert_allclose(children[0].amps, expected, atol=1e-15)
+            np.testing.assert_allclose(children[1].amps, d2_sign * expected, atol=1e-15)
             # rebuilt layout: D1 collapses the photon on H, D2 on V
-            np.testing.assert_allclose(children[0].amps, kron_chain(KET_H, expected),
+            np.testing.assert_allclose(full_layout(children[0]), kron_chain(KET_H, expected),
                                        atol=1e-15)
-            np.testing.assert_allclose(children[1].amps,
+            np.testing.assert_allclose(full_layout(children[1]),
                                        kron_chain(KET_V, d2_sign * expected), atol=1e-15)
 
     def test_equal_amplitudes_kill_flip_branch(self):
@@ -108,7 +109,7 @@ class TestQndScatter:
         assert lost == pytest.approx(0.64, abs=1e-15)
         # the error leaves photon and QDs as the first half-wave plate made them
         after_plate = kron_chain(H @ KET_V, KET_PLUS, KET_PLUS)
-        np.testing.assert_allclose(sum(c.amps for c in children), 0.6 * after_plate,
+        np.testing.assert_allclose(sum(map(full_layout, children)), 0.6 * after_plate,
                                    atol=1e-15)
 
     def test_flip_weight_equals_eta1(self):
@@ -121,18 +122,18 @@ class TestQndScatter:
 class TestIdealRuns:
     def test_ghz_000(self):
         records = significant(run_analyzer(ghz_state(3, (0, 0, 0)), IDEAL))
-        assert {(r.pattern(), r.qd_readout, round(r.probability, 12)) for r in records} \
+        assert {(pattern(r), r.qd_readout, round(r.probability, 12)) for r in records} \
             == {("HHH", ("+", "-"), 0.5), ("VVV", ("+", "-"), 0.5)}
 
     def test_psi_minus(self):
         records = significant(run_analyzer(bell_state("psi-"), IDEAL))
-        assert {(r.pattern(), r.qd_readout, round(r.probability, 12)) for r in records} \
+        assert {(pattern(r), r.qd_readout, round(r.probability, 12)) for r in records} \
             == {("HV", ("-", "-"), 0.5), ("VH", ("-", "-"), 0.5)}
 
     def test_bell_table_golden(self):
         for name, (patterns, qd) in TABLE_BELL.items():
             records = significant(run_analyzer(bell_state(name), IDEAL))
-            assert {r.pattern() for r in records} == patterns
+            assert {pattern(r) for r in records} == patterns
             assert {r.qd_readout for r in records} == {qd}
             for r in records:
                 assert r.probability == pytest.approx(0.5, abs=1e-12)
@@ -141,7 +142,7 @@ class TestIdealRuns:
     def test_ghz3_table_golden(self):
         for bits, (patterns, qd) in TABLE_GHZ3.items():
             records = significant(run_analyzer(ghz_state(3, bits), IDEAL))
-            assert {r.pattern() for r in records} == patterns
+            assert {pattern(r) for r in records} == patterns
             assert {r.qd_readout for r in records} == {qd}
             assert conclusive_probability(records) == pytest.approx(1.0, abs=1e-12)
             for r in records:
@@ -178,9 +179,7 @@ class TestBlockSignRule:
         # with sign (-1)^(i_1+...+i_{n-1}); for odd n the phase bit flips
         from oracles import KET_MINUS, KET_PLUS, ghz_vector, kron_chain
         for bits in all_labels(n):
-            assembled = None
-            for br in circuit_final_branches(ghz_state(n, bits), IDEAL):
-                assembled = br.amps if assembled is None else assembled + br.amps
+            assembled = sum(map(full_layout, circuit_final_branches(ghz_state(n, bits), IDEAL)))
             lead, phase = bits[:-1], bits[-1]
             sign = (-1.0) ** sum(lead)
             if n % 2 == 0:
@@ -245,7 +244,7 @@ class TestFinalBranchesReference:
         got_amps: dict = {}
         got_weight: dict = {}
         for br in circuit_final_branches(self.PHOTONS, replace(self.CONFIG, eta0=0.9)):
-            got_amps[br.fates] = got_amps.get(br.fates, 0.0) + br.amps
+            got_amps[br.fates] = got_amps.get(br.fates, 0.0) + full_layout(br)
             got_weight[br.fates] = got_weight.get(br.fates, 0.0) + br.weight
         assert set(got_amps) == set(expected)
         for fates, vec in expected.items():
@@ -269,6 +268,50 @@ class TestFinalBranchesReference:
         for key in set(got) | set(expected):
             assert got.get(key, 0.0) == pytest.approx(expected.get(key, 0.0), abs=1e-12), key
         assert math.fsum(records.probs.tolist()) == pytest.approx(1.0, abs=1e-14)
+
+
+class TestBranchViews:
+    """A branch view holds its compact row: `amps` is the stack's row, sized by the
+    photons still IN_CIRCUIT, and `weight` the stack's own entry."""
+
+    CONFIG = TestFinalBranchesReference.CONFIG
+
+    @staticmethod
+    def assert_views_hold_rows(views, stack, spins):
+        assert len(views) == len(stack) > 0
+        for view, amps, weight in zip(views, stack.amps, stack.weight.tolist()):
+            live = view.fates.count(PhotonFate.IN_CIRCUIT)
+            assert view.amps.size == 2 ** spins * 2 ** live * 4
+            np.testing.assert_array_equal(view.amps, amps)
+            assert view.weight == weight
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_final_branches(self, n):
+        photons = random_register(n, seed=20 + n)
+        views = circuit_final_branches(photons, self.CONFIG)
+        [stack] = circuit._evolve(circuit._with_spins(photons.amplitudes),
+                                  self.CONFIG.units[0], list(range(n)))
+        self.assert_views_hold_rows(views, stack, 0)
+        # summed in the full layout, the views give the full-vector algebra's branches
+        psi = kron_chain(photons.amplitudes, KET_PLUS, KET_PLUS)
+        expected = {fates: vec for fates, vec in full_vector_branches(
+                        psi, n, *self.CONFIG.reflection_pairs(), 1.0).items()
+                    if PhotonFate.LOST not in fates}
+        got: dict = {}
+        for br in views:
+            got[br.fates] = got.get(br.fates, 0.0) + full_layout(br)
+        assert set(got) == set(expected)
+        for fates, vec in expected.items():
+            np.testing.assert_allclose(got[fates], vec, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("pairs", [2, 3])
+    def test_network_branches(self, pairs):
+        config = AnalyzerConfig(mode="realistic", qnd1=STANDARD, omega=0.9)
+        state = make_network(pairs)
+        self.assert_views_hold_rows(state.branches, state.stack, pairs)
+        for photon in range(pairs):
+            state = feed_photon(state, photon, config)
+            self.assert_views_hold_rows(state.branches, state.stack, pairs)
 
 
 class TestRealisticRuns:
@@ -410,7 +453,7 @@ class TestMemoryBudget:
             circuit._thin(keys, perfect.probs, (0.9,) * n)
         monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 2 ** 30)
         thinned = circuit._records(*circuit._thin(keys, perfect.probs, (0.9,) * n), n)
-        assert thinned == run_analyzer(photons, replace(config, eta0=0.9))
+        assert list(thinned) == list(run_analyzer(photons, replace(config, eta0=0.9)))
 
     def test_thin_entry_bytes_bound_what_thinning_allocates(self, monkeypatch):
         n = 8
@@ -623,7 +666,7 @@ class TestMonteCarlo:
         reference = run_analyzer(photons, config, shots=5000)
         assert circuit._step_bytes(circuit._SHOT_BLOCK // 128, 128, 2, 5) > 2 ** 20
         monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 2 ** 20)
-        assert run_analyzer(photons, config, shots=5000) == reference
+        assert list(run_analyzer(photons, config, shots=5000)) == list(reference)
 
     def test_memory_does_not_grow_with_shots(self):
         config = AnalyzerConfig(mode="ideal", enumeration="monte-carlo", seed=4)
@@ -683,7 +726,7 @@ class TestMonteCarlo:
         for block in (2 ** 12, 2 ** 18):
             monkeypatch.setattr(circuit, "_SHOT_BLOCK", block)
             got = run_analyzer(photons, self.ONE_NODE[kind], shots=20_000)
-            assert got == reference and np.array_equal(got.probs, reference.probs)
+            assert list(got) == list(reference) and np.array_equal(got.probs, reference.probs)
 
     @pytest.mark.parametrize("kind", ONE_NODE)
     def test_one_node_steps_run_on_shared_rows(self, kind, monkeypatch):
@@ -723,7 +766,7 @@ class TestMonteCarlo:
         monkeypatch.setattr(circuit, "MAX_STEP_BYTES", 700_000)
         got = run_analyzer(photons, config, shots=4096)
         assert refused and min(refused) > 1
-        assert got == reference and np.array_equal(got.probs, reference.probs)
+        assert list(got) == list(reference) and np.array_equal(got.probs, reference.probs)
 
 
 
@@ -798,6 +841,12 @@ class TestValidation:
     def test_realistic_requires_params(self):
         with pytest.raises(ValueError):
             AnalyzerConfig(mode="realistic")
+
+    def test_negative_seed_rejected_when_sampling(self):
+        config = AnalyzerConfig(enumeration="monte-carlo", seed=-1)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+            run_analyzer(ghz_state(2, (0, 1)), config, shots=5)
+        assert len(run_analyzer(ghz_state(2, (0, 1)), replace(config, enumeration="exhaustive")))
 
     def test_omega_and_spectrum_exclusive(self):
         with pytest.raises(ValueError):
@@ -874,7 +923,8 @@ class TestRecordArrays:
         assert len(views) == len(records) == len(records.probs)
         assert records[0] == views[0] and records[-1] == views[-1]
         assert list(records[1:4]) == views[1:4] and list(records[::-2]) == views[::-2]
-        assert records == views and records == run_analyzer(ghz_state(3, (0, 1, 1)), config)
+        assert [records[i] for i in range(len(records))] == views
+        assert views == list(run_analyzer(ghz_state(3, (0, 1, 1)), config))
         assert all(type(r.probability) is float for r in views)
         assert {f for r in views for f in r.fates} == {PhotonFate.D1, PhotonFate.D2,
                                                       PhotonFate.D3, PhotonFate.LOST}

@@ -17,7 +17,7 @@ from ghzsim.cli import (_analyzer_config, _fmt, _settings, build_parser, cmd_ana
 from ghzsim.scattering import (CavityQDParams, PulseSpectrum, average_efficiency, error_prob,
                                eta1)
 from ghzsim.states import GhzLabel
-from oracles import reference_label
+from oracles import pattern, reference_label
 
 
 def run_cli(args, tmp_path, name="out.txt"):
@@ -230,6 +230,19 @@ class TestTable1Command:
     def test_invalid_photon_count_exits_2(self, tmp_path):
         code, _ = run_cli(["table1", "--n-list", "0"], tmp_path)
         assert code == 2
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_empty_photon_list_exits_2(self, where, tmp_path, capsys):
+        argv = ["table1", "--n-list", ","]
+        if where == "config":
+            cfg = tmp_path / "empty.cfg"
+            cfg.write_text("[table]\nn =\n")
+            argv = ["table1", "--config", str(cfg)]
+        code, text = run_cli(argv, tmp_path)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "error: table1 needs at least one photon count in its n list\n")
 
 
 class TestAnalyzeCommand:
@@ -447,7 +460,7 @@ def record_rows(records) -> list[dict]:
     for r in records:
         label = reference_label(r, len(r.fates))
         rows.append({"fates": "/".join(f.value for f in r.fates),
-                     "pattern": r.pattern() if r.conclusive else "",
+                     "pattern": pattern(r) if r.conclusive else "",
                      "qd": "".join(r.qd_readout) if r.qd_readout else "",
                      "probability": r.probability,
                      "classified": "inconclusive" if label is None else str(label)})
@@ -480,7 +493,6 @@ SWAP_COLUMNS = ["clicks", "qd", "probability", "predicted", "fidelity"]
     pytest.param(["efficiency-map", "--g-over-ks", "0.5:3:3", "--k-over-ks", "2:20:4:log"],
                  ["g_over_ks", "k_over_ks", "eta_n_s"], id="efficiency-map"),
     pytest.param(["table1", "--n-list", "2,5,20"], TABLE1_COLUMNS, id="table1"),
-    pytest.param(["table1", "--n-list", ","], TABLE1_COLUMNS, id="table1-empty"),
     pytest.param(["swap", "--pairs", "2"], SWAP_COLUMNS, id="swap-2"),
     pytest.param(["swap", "--pairs", "3", "--mode", "realistic", "--eta0", "0.9"],
                  SWAP_COLUMNS, id="swap-3-eta0-0.9"),
@@ -495,7 +507,7 @@ def test_table_output_matches_text_built_from_dict_rows(argv, columns, fmt, tmp_
     doc = json.loads(text)
     rows = doc["outcomes"] if argv[0] == "swap" else doc["rows"]
     assert all(list(row) == columns for row in rows)
-    assert (len(rows) == 0) == (argv[-1] == ",")
+    assert rows
     if "--eta0" in argv:
         assert {type(row["fidelity"]) for row in rows} == {str, float}
     if fmt == "json":
@@ -695,6 +707,15 @@ class TestConfigHandling:
         assert code == 2
         assert text == ""
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_negative_seed_exits_2_on_monte_carlo_runs_only(self, tmp_path, capsys):
+        args = ["analyze", "GHZ:01", "--shots", "5", "--seed", "-1"]
+        code, text = run_cli(args + ["--enumeration", "monte-carlo"], tmp_path)
+        assert code == 2
+        assert text == ""
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        code, _ = run_cli(args, tmp_path, "exhaustive.json")  # reads no seed
+        assert code == 0
 
     def test_no_state_kept_between_calls(self, tmp_path):
         args = ["analyze", "GHZ:01", "--enumeration", "monte-carlo", "--shots", "10"]
